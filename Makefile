@@ -13,14 +13,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over every text codec, including the differential targets
-# that hold the byte-level parsers to their historical oracles.
+# Short fuzz pass over every fuzz target in the repo: the text codecs, the
+# differential targets that hold the byte-level parsers and Stage I to their
+# historical oracles, and the event-shard cache codec.
+# TestMakeFuzzListsEveryTarget fails when a Fuzz function is missing here.
 fuzz:
 	$(GO) test -fuzz '^FuzzParseLine$$' -fuzztime 15s ./internal/syslog/
 	$(GO) test -fuzz '^FuzzParseLineEquivalence$$' -fuzztime 15s ./internal/syslog/
+	$(GO) test -fuzz '^FuzzExtract$$' -fuzztime 15s ./internal/syslog/
 	$(GO) test -fuzz '^FuzzParsePlacement$$' -fuzztime 10s ./internal/slurmsim/
 	$(GO) test -fuzz '^FuzzLoadDBLine$$' -fuzztime 10s ./internal/slurmsim/
 	$(GO) test -fuzz '^FuzzParseRowEquivalence$$' -fuzztime 10s ./internal/slurmsim/
+	$(GO) test -fuzz '^FuzzEvshardRoundTrip$$' -fuzztime 10s ./internal/ingest/
+	$(GO) test -fuzz '^FuzzEvshardDecode$$' -fuzztime 10s ./internal/ingest/
 
 # Regenerate every paper table and figure at full scale (~10 min).
 bench:
@@ -31,7 +36,7 @@ bench-quick:
 	GPURESIL_BENCH_SCALE=0.05 $(GO) test -bench=. -benchmem -timeout 30m ./...
 
 # Hot-path benchmark set for the perf gate (sub-benchmarks included).
-BENCH_SET = ^(BenchmarkExtractParallel|BenchmarkShardedExtract|BenchmarkPipelineParallel|BenchmarkStageIExtract|BenchmarkJobDBLoad|BenchmarkEndToEnd)$$
+BENCH_SET = ^(BenchmarkExtract|BenchmarkShardedExtract|BenchmarkPipelineParallel|BenchmarkStageIExtract|BenchmarkJobDBLoad|BenchmarkEndToEnd)$$
 
 # Snapshot the hot-path benchmarks (5% dataset, 4 repeats, per-metric
 # medians) into BENCH_baseline.json. Commit the refreshed file whenever a

@@ -476,33 +476,29 @@ func benchWorkerCounts() []int {
 	return []int{1, 4, 16}
 }
 
-// BenchmarkExtractParallel measures sharded Stage I throughput over the raw
-// log bytes at each worker count; workers=1 is the sequential scanner
-// baseline the speedup is judged against.
-func BenchmarkExtractParallel(b *testing.B) {
+// BenchmarkExtract measures Stage I throughput over the raw log bytes: one
+// sequential strict scan, the only Stage I path.
+func BenchmarkExtract(b *testing.B) {
 	logs, _ := rawDataset(b)
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(logs)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				events := 0
-				st, err := syslog.ExtractParallel(newByteReader(logs), workers,
-					func(xid.Event) error { events++; return nil })
-				if err != nil {
-					b.Fatal(err)
-				}
-				if events == 0 || st.XIDLines != events {
-					b.Fatalf("events=%d stats=%+v", events, st)
-				}
-			}
-		})
+	b.ResetTimer()
+	b.SetBytes(int64(len(logs)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		events := 0
+		rep, err := syslog.Extract(newByteReader(logs), syslog.Options{},
+			func(xid.Event) error { events++; return nil })
+		if err != nil {
+			b.Fatal(err)
+		}
+		if events == 0 || rep.Records != events {
+			b.Fatalf("events=%d report=%+v", events, rep)
+		}
 	}
 }
 
 // BenchmarkShardedExtract measures the multi-file front end over the raw
-// dataset split into 8 shard files. /cold parses every shard through the
-// pooled Stage I scanners and merges the streams; /warm replays the same
+// dataset split into 8 shard files. /cold parses every shard with its own
+// sequential Stage I scan and merges the streams; /warm replays the same
 // plan against a populated .evshard cache, so its cost is dominated by
 // columnar decode plus the k-way merge — the ratio to /cold is the payoff
 // of the cache on repeat analyses.
@@ -554,7 +550,8 @@ func BenchmarkShardedExtract(b *testing.B) {
 }
 
 // BenchmarkPipelineParallel measures the whole analysis path from raw bytes
-// — sharded extraction, key-sharded coalescing, and the Stage III fan-out
+// — Stage I alongside the job-DB load, key-sharded coalescing, and the
+// Stage III fan-out
 // (Tables I-III) — at each worker count. The workers=1 case is the
 // sequential pipeline; the ratio to it is the headline speedup tracked in
 // the perf trajectory (target >=3x on 8 cores at scale 1.0).

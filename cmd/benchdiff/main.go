@@ -100,7 +100,7 @@ func runCompare(args []string) error {
 	}
 	deltas := benchfmt.Compare(base, cur, *maxTime, *maxAlloc)
 	if len(deltas) == 0 {
-		return fmt.Errorf("no benchmarks shared between %s and %s", *basePath, *newPath)
+		return fmt.Errorf("no benchmarks in baseline %s", *basePath)
 	}
 	failed := 0
 	for _, d := range deltas {
@@ -115,7 +115,7 @@ func runCompare(args []string) error {
 	if failed > 0 {
 		return fmt.Errorf("%d of %d benchmarks regressed past the gates", failed, len(deltas))
 	}
-	fmt.Printf("all %d shared benchmarks within gates (time <=%.2fx, alloc <=%.2fx)\n",
+	fmt.Printf("all %d baseline benchmarks within gates (time <=%.2fx, alloc <=%.2fx)\n",
 		len(deltas), *maxTime, *maxAlloc)
 	return nil
 }

@@ -151,14 +151,16 @@ type Delta struct {
 }
 
 // Compare gates cur against base: time may grow to maxTimeRatio x, and
-// allocs/op and B/op to maxAllocRatio x. Only benchmarks present in both
-// sets are compared (CI bench subsets stay gateable); a non-positive ratio
-// disables that gate.
+// allocs/op and B/op to maxAllocRatio x; a non-positive ratio disables that
+// gate. Every baseline benchmark must appear in cur — a missing one is a
+// violation, so a renamed or deleted benchmark cannot leave the gate
+// silently. Benchmarks only cur has are not compared.
 func Compare(base, cur *Set, maxTimeRatio, maxAllocRatio float64) []Delta {
 	var out []Delta
 	for _, b := range base.Benchmarks {
 		c, ok := cur.Lookup(b.Name)
 		if !ok {
+			out = append(out, Delta{Name: b.Name, Base: b, Violation: "missing from the new run"})
 			continue
 		}
 		d := Delta{

@@ -96,15 +96,24 @@ func TestCompareGates(t *testing.T) {
 	}
 }
 
-func TestCompareSkipsMissing(t *testing.T) {
+// A baseline benchmark absent from the new run is a violation (a rename
+// must not drop it from the gate); a benchmark only the new run has is
+// not compared.
+func TestCompareReportsMissingBaseline(t *testing.T) {
 	base := &Set{Benchmarks: []Result{
 		{Name: "BenchmarkA", NsPerOp: 1},
 		{Name: "BenchmarkB", NsPerOp: 1},
 	}}
-	cur := &Set{Benchmarks: []Result{{Name: "BenchmarkB", NsPerOp: 1}}}
+	cur := &Set{Benchmarks: []Result{
+		{Name: "BenchmarkB", NsPerOp: 1},
+		{Name: "BenchmarkC", NsPerOp: 1},
+	}}
 	deltas := Compare(base, cur, 1.6, 1.15)
-	if len(deltas) != 1 || deltas[0].Name != "BenchmarkB" {
+	if len(deltas) != 2 || deltas[0].Name != "BenchmarkA" || deltas[1].Name != "BenchmarkB" {
 		t.Fatalf("deltas = %+v", deltas)
+	}
+	if deltas[0].Violation == "" || deltas[1].Violation != "" {
+		t.Fatalf("violations = %q, %q; want only BenchmarkA flagged", deltas[0].Violation, deltas[1].Violation)
 	}
 }
 

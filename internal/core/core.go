@@ -24,7 +24,6 @@ import (
 	"gpuresilience/internal/coalesce"
 	"gpuresilience/internal/impact"
 	"gpuresilience/internal/ingest"
-	"gpuresilience/internal/intern"
 	"gpuresilience/internal/obs"
 	"gpuresilience/internal/parallel"
 	"gpuresilience/internal/slurmsim"
@@ -55,11 +54,12 @@ type PipelineConfig struct {
 	// OutlierMinCount is the absolute floor below which a stream is never
 	// an outlier, guarding small datasets.
 	OutlierMinCount int
-	// Workers bounds each pipeline stage's parallelism: sharded Stage I
-	// extraction, key-sharded Stage II coalescing, and the Stage III
-	// fan-out each use at most this many goroutines. 0 means GOMAXPROCS,
-	// 1 forces the sequential path. Every table and figure is
-	// worker-count-invariant — see docs/pipeline.md for the argument.
+	// Workers bounds each pipeline stage's parallelism: multi-file Stage I
+	// ingest (one sequential scan per file), key-sharded Stage II
+	// coalescing, and the Stage III fan-out each use at most this many
+	// goroutines. 0 means GOMAXPROCS, 1 forces the sequential path. Every
+	// table and figure is worker-count-invariant — see docs/pipeline.md for
+	// the argument.
 	Workers int
 	// Lenient switches Stage I to corruption-tolerant extraction: damaged
 	// lines are classified, quarantined, and skipped instead of failing the
@@ -80,11 +80,16 @@ type PipelineConfig struct {
 	Obs *obs.Registry `json:"-"`
 }
 
-// lenientOptions maps the pipeline's lenient settings onto Stage I options.
-func (c PipelineConfig) lenientOptions() syslog.LenientOptions {
-	return syslog.LenientOptions{
-		MaxBadLines: c.MaxBadLines,
-		MaxBadFrac:  c.MaxBadFrac,
+// ingestOptions maps the pipeline's settings onto the Stage I front end.
+func (c PipelineConfig) ingestOptions() ingest.Options {
+	return ingest.Options{
+		Workers: c.Workers,
+		Stage1: syslog.Options{
+			Lenient:     c.Lenient,
+			MaxBadLines: c.MaxBadLines,
+			MaxBadFrac:  c.MaxBadFrac,
+		},
+		Obs: c.Obs,
 	}
 }
 
@@ -392,88 +397,36 @@ func (r *Results) Row(g xid.Group) (TableIRow, bool) {
 	return TableIRow{}, false
 }
 
-// ExtractEvents runs Stage I over a raw log stream sequentially.
+// ExtractEvents runs strict Stage I over a raw log stream.
 func ExtractEvents(r io.Reader) ([]xid.Event, syslog.ExtractStats, error) {
-	return ExtractEventsParallel(r, 1)
+	events, rep, err := extractEvents(r, syslog.Options{})
+	return events, rep.Stats(), err
 }
 
-// ExtractEventsParallel runs Stage I over a raw log stream with the sharded
-// extractor. The ordered fan-in keeps the event slice (and stats) identical
-// to the sequential scan at any worker count.
+// ExtractEventsParallel is ExtractEvents; workers is ignored. It remains
+// for callers written against the former in-file chunk fan-out, which
+// measured slower than the single sequential scan (docs/performance.md).
 func ExtractEventsParallel(r io.Reader, workers int) ([]xid.Event, syslog.ExtractStats, error) {
-	var events []xid.Event
-	st, err := syslog.ExtractParallel(r, workers, func(ev xid.Event) error {
-		events = append(events, ev)
-		return nil
-	})
-	return events, st, err
+	return ExtractEvents(r)
 }
 
-// ExtractEventsLenient runs the corruption-tolerant Stage I: damaged lines
-// are classified and skipped under the configured error budgets, and the
-// structured ingestion report comes back alongside the recovered events.
-// The report is non-nil even when extraction fails.
-func ExtractEventsLenient(r io.Reader, workers int, opt syslog.LenientOptions) ([]xid.Event, *syslog.IngestionReport, error) {
+// ExtractEventsLenient runs the corruption-tolerant Stage I under opt's
+// error budgets (opt.Lenient is implied): damaged lines are classified and
+// skipped, and the structured ingestion report comes back alongside the
+// recovered events. The report is non-nil even when extraction fails.
+func ExtractEventsLenient(r io.Reader, opt syslog.Options) ([]xid.Event, *syslog.IngestionReport, error) {
+	opt.Lenient = true
+	return extractEvents(r, opt)
+}
+
+// extractEvents runs syslog.Extract and collects the events.
+func extractEvents(r io.Reader, opt syslog.Options) ([]xid.Event, *syslog.IngestionReport, error) {
 	var events []xid.Event
-	rep, err := syslog.ExtractLenientParallel(r, workers, opt, func(ev xid.Event) error {
+	rep, err := syslog.Extract(r, opt, func(ev xid.Event) error {
 		events = append(events, ev)
 		return nil
 	})
 	return events, rep, err
-}
-
-// runStage1 is the pipeline's instrumented Stage I entry point: it runs the
-// strict or lenient extractor per cfg, and when cfg.Obs is enabled it
-// records the stage span — wall time, lines in, events out, bytes read, and
-// per-worker utilization of the sharded extractor's pool. The span is named
-// stage1.extract for strict runs and stage1.lenient for corruption-tolerant
-// ones, so a run's mode is visible in its metrics.
-func runStage1(r io.Reader, cfg PipelineConfig) ([]xid.Event, syslog.ExtractStats, *syslog.IngestionReport, error) {
-	var (
-		sp    *obs.Span
-		meter parallel.WorkerMeter
-		alloc *intern.Stats
-	)
-	if cfg.Obs.Enabled() {
-		name := "stage1.extract"
-		if cfg.Lenient {
-			name = "stage1.lenient"
-		}
-		sp = cfg.Obs.StartSpan(name)
-		sp.SetWorkers(parallel.Resolve(cfg.Workers))
-		meter = sp.ObserveWorker
-		cr := obs.NewCountingReader(r)
-		r = cr
-		alloc = new(intern.Stats)
-		defer func() {
-			sp.AddBytes(cr.N())
-			sp.End()
-			// Stage I allocation behavior: interner traffic and the bytes
-			// actually copied out of the scan buffers (cache misses).
-			cfg.Obs.Counter("intern.hits").Add(alloc.Hits)
-			cfg.Obs.Counter("intern.misses").Add(alloc.Misses)
-			cfg.Obs.Counter("stage1.alloc_bytes").Add(alloc.Bytes)
-		}()
-	}
-	var events []xid.Event
-	collect := func(ev xid.Event) error {
-		events = append(events, ev)
-		return nil
-	}
-	var (
-		st  syslog.ExtractStats
-		rep *syslog.IngestionReport
-		err error
-	)
-	if cfg.Lenient {
-		rep, err = syslog.ExtractLenientParallelAlloc(r, cfg.Workers, cfg.lenientOptions(), meter, alloc, collect)
-		st = ingestStats(rep)
-	} else {
-		st, err = syslog.ExtractParallelAlloc(r, cfg.Workers, meter, alloc, collect)
-	}
-	sp.AddIn(int64(st.Lines))
-	sp.AddOut(int64(len(events)))
-	return events, st, rep, err
 }
 
 // IngestConfig selects the multi-file front end's cache behavior.
@@ -485,27 +438,39 @@ type IngestConfig struct {
 
 // AnalyzeLogFiles runs the full pipeline over one or more raw log files:
 // the patterns expand to a deterministic shard plan (globs, directories,
-// repeated -logs flags), every shard runs Stage I concurrently on the
-// pooled byte parsers — or loads from the event-shard cache and skips the
-// parse — and the merged stream feeds Stages II-III. Tables I-III and the
-// availability analysis are byte-identical to a single AnalyzeLogs run
-// over the files' concatenation in plan order, at any worker count, warm
-// or cold. Results.Shards carries each file's digest and cache outcome.
+// repeated -logs flags), every shard runs Stage I concurrently — or loads
+// from the event-shard cache and skips the parse — and the merged stream
+// feeds Stages II-III. Tables I-III and the availability analysis are
+// byte-identical to a single AnalyzeLogs run over the files' concatenation
+// in plan order, at any worker count, warm or cold. Results.Shards carries
+// each file's digest and cache outcome.
 func AnalyzeLogFiles(patterns []string, jobDB io.Reader, repairs []time.Duration,
 	cpu workload.CPURecord, cfg PipelineConfig, ing IngestConfig) (*Results, error) {
 	plan, err := ingest.PlanFiles(patterns)
 	if err != nil {
 		return nil, err
 	}
-	opt := ingest.Options{
-		Workers:        cfg.Workers,
-		Lenient:        cfg.Lenient,
-		LenientOptions: cfg.lenientOptions(),
-		Obs:            cfg.Obs,
-	}
+	opt := cfg.ingestOptions()
 	if ing.CacheDir != "" {
 		opt.Cache = ingest.NewCache(ing.CacheDir)
 	}
+	return analyzeRaw(func() (*ingest.Result, error) { return ingest.Extract(plan, opt) },
+		jobDB, repairs, cpu, cfg)
+}
+
+// AnalyzeLogs runs the full pipeline from raw inputs: a syslog stream and a
+// sacct-style job database dump.
+func AnalyzeLogs(logs io.Reader, jobDB io.Reader, repairs []time.Duration,
+	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
+	return analyzeRaw(func() (*ingest.Result, error) { return ingest.ExtractStream(logs, cfg.ingestOptions()) },
+		jobDB, repairs, cpu, cfg)
+}
+
+// analyzeRaw is the body AnalyzeLogs and AnalyzeLogFiles share: Stage I
+// (stage1) and the job-database load are independent, so they run
+// concurrently when cfg.Workers allows; Stages II-III follow.
+func analyzeRaw(stage1 func() (*ingest.Result, error), jobDB io.Reader, repairs []time.Duration,
+	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
 	var (
 		ext  *ingest.Result
 		jobs []*slurmsim.Job
@@ -513,7 +478,7 @@ func AnalyzeLogFiles(patterns []string, jobDB io.Reader, repairs []time.Duration
 	loaders := []func() error{
 		func() error {
 			var err error
-			ext, err = ingest.Extract(plan, opt)
+			ext, err = stage1()
 			if err != nil {
 				return fmt.Errorf("core: stage I: %w", err)
 			}
@@ -542,64 +507,6 @@ func AnalyzeLogFiles(patterns []string, jobDB io.Reader, repairs []time.Duration
 	res.Ingestion = ext.Ingestion
 	res.Shards = ext.Shards
 	return res, nil
-}
-
-// AnalyzeLogs runs the full pipeline from raw inputs: a syslog stream and a
-// sacct-style job database dump. The two inputs are independent streams, so
-// they load concurrently when cfg.Workers allows.
-func AnalyzeLogs(logs io.Reader, jobDB io.Reader, repairs []time.Duration,
-	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
-	var (
-		events []xid.Event
-		st     syslog.ExtractStats
-		ingest *syslog.IngestionReport
-		jobs   []*slurmsim.Job
-	)
-	loaders := []func() error{
-		func() error {
-			var err error
-			events, st, ingest, err = runStage1(logs, cfg)
-			if err != nil {
-				return fmt.Errorf("core: stage I: %w", err)
-			}
-			return nil
-		},
-		func() error {
-			if jobDB == nil {
-				return nil
-			}
-			var err error
-			jobs, err = slurmsim.LoadDB(jobDB)
-			if err != nil {
-				return fmt.Errorf("core: load job DB: %w", err)
-			}
-			return nil
-		},
-	}
-	if err := parallel.ForEach(len(loaders), cfg.Workers, func(i int) error { return loaders[i]() }); err != nil {
-		return nil, err
-	}
-	res, err := Analyze(events, jobs, repairs, cpu, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Extract = st
-	res.Ingestion = ingest
-	return res, nil
-}
-
-// ingestStats projects a lenient ingestion report onto the strict-mode
-// stat shape, so downstream summaries read the same either way.
-func ingestStats(rep *syslog.IngestionReport) syslog.ExtractStats {
-	if rep == nil {
-		return syslog.ExtractStats{}
-	}
-	return syslog.ExtractStats{
-		Lines:     rep.Lines,
-		XIDLines:  rep.Records,
-		Skipped:   rep.Noise,
-		Malformed: rep.BadTotal,
-	}
 }
 
 // EndToEndConfig couples a simulation with pipeline settings.
@@ -644,9 +551,7 @@ func EndToEnd(cfg EndToEndConfig) (*EndToEndResult, error) {
 
 	// Stream raw lines from the simulator into Stage I through a pipe: the
 	// writer formats (with duplication and noise) as the simulation runs,
-	// and the reader side extracts concurrently — sharded across
-	// cfg.Pipeline.Workers goroutines with an ordered fan-in, so the event
-	// stream is identical to a sequential scan.
+	// and the reader side extracts concurrently on its own goroutine.
 	pr, pw := io.Pipe()
 	logDst := io.Writer(pw)
 	if cfg.KeepRawLogs != nil {
@@ -666,15 +571,13 @@ func EndToEnd(cfg EndToEndConfig) (*EndToEndResult, error) {
 	})
 
 	type extractOut struct {
-		events []xid.Event
-		stats  syslog.ExtractStats
-		ingest *syslog.IngestionReport
-		err    error
+		res *ingest.Result
+		err error
 	}
 	done := make(chan extractOut, 1)
 	go func() {
 		var out extractOut
-		out.events, out.stats, out.ingest, out.err = runStage1(pr, cfg.Pipeline)
+		out.res, out.err = ingest.ExtractStream(pr, cfg.Pipeline.ingestOptions())
 		if out.err != nil {
 			// Unblock the writer side: an early abort (e.g. an exceeded
 			// error budget) must not deadlock the simulation's pipe writes.
@@ -706,12 +609,12 @@ func EndToEnd(cfg EndToEndConfig) (*EndToEndResult, error) {
 	for _, d := range truth.Downtimes {
 		repairs = append(repairs, d.Duration())
 	}
-	res, err := Analyze(ext.events, truth.Jobs, repairs, truth.CPU, cfg.Pipeline)
+	res, err := Analyze(ext.res.Events, truth.Jobs, repairs, truth.CPU, cfg.Pipeline)
 	if err != nil {
 		return nil, err
 	}
-	res.Extract = ext.stats
-	res.Ingestion = ext.ingest
+	res.Extract = ext.res.Stats
+	res.Ingestion = ext.res.Ingestion
 	cfg.Pipeline.Obs.Gauge("sim.rawlines").Set(int64(writer.Lines()))
 	out := &EndToEndResult{
 		Results:     res,
@@ -719,7 +622,7 @@ func EndToEnd(cfg EndToEndConfig) (*EndToEndResult, error) {
 		RawLogLines: writer.Lines(),
 	}
 	if cfg.KeepRawEvents {
-		out.RawEvents = ext.events
+		out.RawEvents = ext.res.Events
 	}
 	return out, nil
 }

@@ -88,26 +88,19 @@ func TestCorruptionRecoveryInvariant(t *testing.T) {
 	wantEvents := multiset(cleanEvents)
 	wantTables := renderTables(t, surviving, jobsDB.Bytes(), core.PipelineConfig{})
 
-	var baseRep *syslog.IngestionReport
-	for _, workers := range []int{1, 4, 16} {
-		events, ingest, err := core.ExtractEventsLenient(
-			bytes.NewReader(corrupted), workers, syslog.LenientOptions{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := multiset(events); !reflect.DeepEqual(got, wantEvents) {
-			t.Fatalf("workers=%d: recovered %d events, want the %d surviving records exactly",
-				workers, len(events), len(cleanEvents))
-		}
-		if baseRep == nil {
-			baseRep = ingest
-			if ingest.BadTotal == 0 {
-				t.Fatal("corruption produced no bad lines; test is vacuous")
-			}
-		} else if !reflect.DeepEqual(ingest, baseRep) {
-			t.Fatalf("workers=%d: ingestion report diverges:\n%+v\nvs\n%+v", workers, ingest, baseRep)
-		}
+	events, ingest, err := core.ExtractEventsLenient(bytes.NewReader(corrupted), syslog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := multiset(events); !reflect.DeepEqual(got, wantEvents) {
+		t.Fatalf("recovered %d events, want the %d surviving records exactly",
+			len(events), len(cleanEvents))
+	}
+	if ingest.BadTotal == 0 {
+		t.Fatal("corruption produced no bad lines; test is vacuous")
+	}
 
+	for _, workers := range []int{1, 4, 16} {
 		lcfg := core.PipelineConfig{Lenient: true, Workers: workers}
 		if got := renderTables(t, corrupted, jobsDB.Bytes(), lcfg); got != wantTables {
 			t.Errorf("workers=%d: lenient tables diverge from the clean surviving run:\n--- got ---\n%s\n--- want ---\n%s",

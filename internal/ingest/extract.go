@@ -16,19 +16,16 @@ import (
 
 // Options configures a sharded Stage I run.
 type Options struct {
-	// Workers bounds the run's total parallelism: with one shard it is the
-	// chunk-level worker count of the existing sharded extractor, with
-	// many shards it is how many files parse concurrently. 0 means
-	// GOMAXPROCS, 1 is fully sequential.
+	// Workers bounds how many files parse concurrently; each file is one
+	// sequential scan. 0 means GOMAXPROCS, 1 is fully sequential.
 	Workers int
-	// Lenient switches every shard to the corruption-tolerant extractor.
-	// Lenient runs bypass the cache (quarantine state is not persisted).
-	Lenient bool
-	// LenientOptions carries the run-wide error budgets. The absolute
-	// budget also fails any single shard fast; the fractional budget is
-	// evaluated once over the merged totals, matching the single-stream
-	// rule that a running fraction is never checked mid-stream.
-	LenientOptions syslog.LenientOptions
+	// Stage1 configures every scan. Lenient runs bypass the cache
+	// (quarantine state is not persisted). The absolute error budget also
+	// fails any single shard fast; the fractional budget is evaluated once
+	// over the merged totals, matching the single-stream rule that a
+	// running fraction is never checked mid-stream. Its Alloc sink is
+	// unused: the run's interner totals go to Obs.
+	Stage1 syslog.Options
 	// Cache enables the event-shard cache when non-nil.
 	Cache *Cache
 	// Obs receives the ingest spans and cache counters when non-nil.
@@ -113,8 +110,9 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 	reg.Gauge("ingest.shards").Set(int64(n))
 	states := make([]shardState, n)
 
-	cacheable := opt.Cache != nil && !opt.Lenient
-	if opt.Cache != nil && opt.Lenient {
+	lenient := opt.Stage1.Lenient
+	cacheable := opt.Cache != nil && !lenient
+	if opt.Cache != nil && lenient {
 		reg.Counter("cache.bypass").Add(int64(n))
 		for i := range states {
 			states[i].outcome = CacheBypass
@@ -173,7 +171,7 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 		res.Stats.XIDLines += st.stats.XIDLines
 		res.Stats.Skipped += st.stats.Skipped
 		res.Stats.Malformed += st.stats.Malformed
-		if st.report != nil {
+		if lenient {
 			reports = append(reports, st.report)
 		}
 		res.Shards[i] = ShardInfo{
@@ -184,8 +182,8 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 		}
 	}
 	res.Events = mergeShards(streams)
-	if opt.Lenient {
-		rep, err := mergeReports(reports, opt.LenientOptions)
+	if lenient {
+		rep, err := syslog.MergeReports(reports, opt.Stage1)
 		res.Ingestion = rep
 		if err != nil {
 			return res, err
@@ -194,53 +192,112 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// parseShards runs Stage I over the listed shards. A single-shard plan
-// keeps the whole worker budget for chunk-level parallelism inside the
-// file (the pre-sharding fast path); a multi-shard plan parallelizes
-// across files with sequential per-file scans, which keeps every shard's
-// output and statistics chunking-independent.
-func parseShards(plan Plan, states []shardState, toParse []int, opt Options) error {
+// ExtractStream runs Stage I over one raw log stream, instrumented like an
+// Extract run over a single cold shard minus the shard's own span and
+// digest: the stage1.extract (or stage1.lenient) span and the interner
+// counters. Result.Shards is nil; the lenient report comes back alongside
+// a budget error.
+func ExtractStream(r io.Reader, opt Options) (*Result, error) {
+	s := startStage1(opt, 1)
+	sopt := opt.Stage1
+	var alloc intern.Stats
+	sopt.Alloc = &alloc
 	var (
-		sp        *obs.Span
-		meter     parallel.WorkerMeter
-		alloc     *intern.Stats
-		shardSpan func(ordinal int) *obs.Span
+		events []xid.Event
+		rep    *syslog.IngestionReport
 	)
+	// A one-item ForEachMeter times the scan as the span's only worker.
+	err := parallel.ForEachMeter(1, 1, s.meter(), func(int) error {
+		var err error
+		events, rep, _, err = s.scan(r, sopt)
+		return err
+	})
+	res := &Result{Events: events, Stats: rep.Stats()}
+	if sopt.Lenient {
+		res.Ingestion = rep
+	}
+	s.end(int64(res.Stats.Lines), int64(len(events)), alloc)
+	return res, err
+}
+
+// stage1 is the instrumented Stage I umbrella that Extract and
+// ExtractStream share: the stage1.extract span (stage1.lenient in lenient
+// mode) with bytes counted off every scanned source, and the interner
+// totals published as counters when it ends. It is inert when Obs is
+// disabled.
+type stage1 struct {
+	reg *obs.Registry
+	sp  *obs.Span
+}
+
+// startStage1 opens the umbrella span for a run scanning on workers
+// goroutines.
+func startStage1(opt Options, workers int) stage1 {
+	if !opt.Obs.Enabled() {
+		return stage1{}
+	}
+	name := "stage1.extract"
+	if opt.Stage1.Lenient {
+		name = "stage1.lenient"
+	}
+	sp := opt.Obs.StartSpan(name)
+	sp.SetWorkers(workers)
+	return stage1{reg: opt.Obs, sp: sp}
+}
+
+// meter is the span's per-worker meter, nil when uninstrumented so the
+// pool takes its unmetered path.
+func (s stage1) meter() parallel.WorkerMeter {
+	if s.sp == nil {
+		return nil
+	}
+	return s.sp.ObserveWorker
+}
+
+// scan runs one sequential Stage I pass over src and collects its events.
+// n is how many bytes it read, counted only when instrumented.
+func (s stage1) scan(src io.Reader, sopt syslog.Options) (events []xid.Event, rep *syslog.IngestionReport, n int64, err error) {
+	var cr *obs.CountingReader
+	if s.sp != nil {
+		cr = obs.NewCountingReader(src)
+		src = cr
+	}
+	rep, err = syslog.Extract(src, sopt, func(ev xid.Event) error {
+		events = append(events, ev)
+		return nil
+	})
+	if cr != nil {
+		n = cr.N()
+		s.sp.AddBytes(n)
+	}
+	return events, rep, n, err
+}
+
+// end closes the span with the run's line and event totals and publishes
+// the interner counters.
+func (s stage1) end(lines, events int64, alloc intern.Stats) {
+	if s.sp == nil {
+		return
+	}
+	s.sp.AddIn(lines)
+	s.sp.AddOut(events)
+	s.sp.End()
+	// Stage I allocation behavior: interner traffic and the bytes actually
+	// copied out of the read buffers (cache misses).
+	s.reg.Counter("intern.hits").Add(alloc.Hits)
+	s.reg.Counter("intern.misses").Add(alloc.Misses)
+	s.reg.Counter("stage1.alloc_bytes").Add(alloc.Bytes)
+}
+
+// parseShards runs Stage I over the listed shards: one sequential scan per
+// file, up to opt.Workers files at a time.
+func parseShards(plan Plan, states []shardState, toParse []int, opt Options) error {
 	reg := opt.Obs
-	if reg.Enabled() {
-		name := "stage1.extract"
-		if opt.Lenient {
-			name = "stage1.lenient"
-		}
-		sp = reg.StartSpan(name)
-		sp.SetWorkers(parallel.Resolve(opt.Workers))
-		meter = sp.ObserveWorker
-		alloc = new(intern.Stats)
-		defer func() {
-			sp.End()
-			reg.Counter("intern.hits").Add(alloc.Hits)
-			reg.Counter("intern.misses").Add(alloc.Misses)
-			reg.Counter("stage1.alloc_bytes").Add(alloc.Bytes)
-		}()
-		shardSpan = func(ordinal int) *obs.Span {
-			return reg.StartSpan(fmt.Sprintf("stage1.shard.%03d", ordinal))
-		}
-	}
-
-	single := len(plan.Shards) == 1
-	innerWorkers, outerWorkers := 1, opt.Workers
-	var outerMeter parallel.WorkerMeter
-	if single {
-		// One file: chunk-level parallelism inside the scan, metered per
-		// chunk exactly like the pre-sharding pipeline.
-		innerWorkers, outerWorkers = opt.Workers, 1
-	} else {
-		outerMeter = meter
-		meter = nil
-	}
-
+	s := startStage1(opt, min(parallel.Resolve(opt.Workers), len(toParse)))
+	sopt := opt.Stage1
+	sopt.MaxBadFrac = 0 // the fractional budget applies to the merged stream only
 	allocs := make([]intern.Stats, len(toParse))
-	err := parallel.ForEachMeter(len(toParse), outerWorkers, outerMeter, func(k int) error {
+	err := parallel.ForEachMeter(len(toParse), opt.Workers, s.meter(), func(k int) error {
 		i := toParse[k]
 		st := &states[i]
 		shard := plan.Shards[i]
@@ -258,30 +315,16 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 			hr = obs.NewHashingReader(f)
 			src = hr
 		}
-		var cr *obs.CountingReader
-		if sp != nil {
-			cr = obs.NewCountingReader(src)
-			src = cr
+		var ssp *obs.Span
+		if reg.Enabled() {
+			ssp = reg.StartSpan(fmt.Sprintf("stage1.shard.%03d", shard.Ordinal))
+			defer ssp.End()
 		}
-		collect := func(ev xid.Event) error {
-			st.events = append(st.events, ev)
-			return nil
-		}
-		if opt.Lenient {
-			lopt := opt.LenientOptions
-			lopt.MaxBadFrac = 0 // fractional budget applies to the merged stream only
-			st.report, err = syslog.ExtractLenientParallelAlloc(src, innerWorkers, lopt, meter, &allocs[k], collect)
-			if st.report != nil {
-				st.stats = syslog.ExtractStats{
-					Lines:     st.report.Lines,
-					XIDLines:  st.report.Records,
-					Skipped:   st.report.Noise,
-					Malformed: st.report.BadTotal,
-				}
-			}
-		} else {
-			st.stats, err = syslog.ExtractParallelAlloc(src, innerWorkers, meter, &allocs[k], collect)
-		}
+		shardOpt := sopt
+		shardOpt.Alloc = &allocs[k]
+		var n int64
+		st.events, st.report, n, err = s.scan(src, shardOpt)
+		st.stats = st.report.Stats()
 		if err != nil {
 			return fmt.Errorf("ingest: shard %s: %w", shard.Path, err)
 		}
@@ -293,19 +336,10 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 				copy(st.digest[:], sum)
 			}
 		}
-		if ssp := shardSpan; ssp != nil {
-			s := ssp(shard.Ordinal)
-			s.AddIn(int64(st.stats.Lines))
-			s.AddOut(int64(len(st.events)))
-			if cr != nil {
-				s.AddBytes(cr.N())
-			}
-			s.End()
-		}
-		if sp != nil && cr != nil {
-			sp.AddBytes(cr.N())
-		}
-		if opt.Cache != nil && !opt.Lenient {
+		ssp.AddIn(int64(st.stats.Lines))
+		ssp.AddOut(int64(len(st.events)))
+		ssp.AddBytes(n)
+		if opt.Cache != nil && !sopt.Lenient {
 			p := &Payload{SourceDigest: st.digest, SourcePath: shard.Path, Stats: st.stats, Events: st.events}
 			if err := opt.Cache.Store(shard.Path, p); err != nil {
 				return err
@@ -314,81 +348,15 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 		}
 		return nil
 	})
-	if err != nil {
-		return err
+	var (
+		alloc         intern.Stats
+		lines, events int64
+	)
+	for k, i := range toParse {
+		alloc.Add(allocs[k])
+		lines += int64(states[i].stats.Lines)
+		events += int64(len(states[i].events))
 	}
-	for i := range allocs {
-		if alloc != nil {
-			alloc.Add(allocs[i])
-		}
-	}
-	if sp != nil {
-		var lines, events int64
-		for _, i := range toParse {
-			lines += int64(states[i].stats.Lines)
-			events += int64(len(states[i].events))
-		}
-		sp.AddIn(lines)
-		sp.AddOut(events)
-	}
-	return nil
-}
-
-// mergeReports folds per-shard lenient reports into one run-wide report:
-// counts sum, quarantine samples concatenate in plan order with line
-// numbers rebased to the concatenated stream (re-trimmed to the per-class
-// cap), and the run-wide error budgets are enforced over the merged
-// totals. The returned error, if any, is the same *syslog.BudgetError a
-// single-stream run would fail with.
-func mergeReports(reports []*syslog.IngestionReport, opt syslog.LenientOptions) (*syslog.IngestionReport, error) {
-	merged := &syslog.IngestionReport{}
-	perClass := opt.QuarantinePerClass
-	if perClass <= 0 {
-		perClass = 4 // defaultQuarantinePerClass in internal/syslog
-	}
-	var kept [syslog.NumLineClasses]int
-	offset := 0
-	for _, r := range reports {
-		merged.Records += r.Records
-		merged.Noise += r.Noise
-		for c := 0; c < syslog.NumLineClasses; c++ {
-			merged.Bad[c] += r.Bad[c]
-		}
-		merged.BadTotal += r.BadTotal
-		for _, q := range r.Quarantine {
-			if kept[q.Class] >= perClass {
-				continue
-			}
-			kept[q.Class]++
-			q.Line += offset
-			merged.Quarantine = append(merged.Quarantine, q)
-		}
-		offset += r.Lines
-		merged.Lines += r.Lines
-	}
-	// Dominant is stamped only on failure, matching the single-stream
-	// report (a clean run leaves Budget.Dominant at its zero value).
-	merged.Budget = syslog.BudgetStatus{
-		MaxBadLines: opt.MaxBadLines,
-		MaxBadFrac:  opt.MaxBadFrac,
-	}
-	if opt.MaxBadLines > 0 && merged.BadTotal > opt.MaxBadLines {
-		dom, _ := merged.Dominant()
-		merged.Budget.Exceeded = true
-		merged.Budget.Dominant = dom
-		return merged, &syslog.BudgetError{
-			Kind: syslog.BudgetLines, BadTotal: merged.BadTotal,
-			Lines: merged.Lines, Limit: float64(opt.MaxBadLines), Dominant: dom,
-		}
-	}
-	if opt.MaxBadFrac > 0 && merged.BadFrac() > opt.MaxBadFrac {
-		dom, _ := merged.Dominant()
-		merged.Budget.Exceeded = true
-		merged.Budget.Dominant = dom
-		return merged, &syslog.BudgetError{
-			Kind: syslog.BudgetFraction, BadTotal: merged.BadTotal,
-			Lines: merged.Lines, Limit: opt.MaxBadFrac, Dominant: dom,
-		}
-	}
-	return merged, nil
+	s.end(lines, events, alloc)
+	return err
 }

@@ -133,17 +133,17 @@ func writeShards(t *testing.T, parts [][]byte) (string, Plan) {
 }
 
 // referenceExtract runs the unsharded Stage I over the whole stream.
-func referenceExtract(t *testing.T, data []byte, workers int) ([]xid.Event, syslog.ExtractStats) {
+func referenceExtract(t *testing.T, data []byte) ([]xid.Event, syslog.ExtractStats) {
 	t.Helper()
 	var events []xid.Event
-	st, err := syslog.ExtractParallelAlloc(bytes.NewReader(data), workers, nil, nil, func(ev xid.Event) error {
+	rep, err := syslog.Extract(bytes.NewReader(data), syslog.Options{}, func(ev xid.Event) error {
 		events = append(events, ev)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return events, st
+	return events, rep.Stats()
 }
 
 // sameEvents compares two event streams field by field with Time.Equal, so
@@ -169,7 +169,7 @@ func sameEvents(t *testing.T, got, want []xid.Event, ctx string) {
 // Stage I stream and statistics exactly, at every worker count.
 func TestShardedExtractMatchesUnsplit(t *testing.T) {
 	data := orderedLog(400, 11)
-	wantEvents, wantStats := referenceExtract(t, data, 1)
+	wantEvents, wantStats := referenceExtract(t, data)
 	if len(wantEvents) == 0 {
 		t.Fatal("reference extraction found no events")
 	}
@@ -197,7 +197,7 @@ func TestShardedExtractMatchesUnsplit(t *testing.T) {
 // plan member next to the whole file.
 func TestShardedExtractSingleAndEmptyShards(t *testing.T) {
 	data := orderedLog(12, 5)
-	wantEvents, wantStats := referenceExtract(t, data, 1)
+	wantEvents, wantStats := referenceExtract(t, data)
 
 	lines := bytes.SplitAfter(data, []byte("\n"))
 	if len(lines[len(lines)-1]) == 0 {
@@ -222,7 +222,7 @@ func TestShardedExtractSingleAndEmptyShards(t *testing.T) {
 
 func TestExtractMessyWriterLog(t *testing.T) {
 	data := messyLog(t, 60, 2)
-	wantEvents, wantStats := referenceExtract(t, data, 1)
+	wantEvents, wantStats := referenceExtract(t, data)
 	rng := rand.New(rand.NewSource(9))
 	_, plan := writeShards(t, splitLines(data, 4, rng))
 	res, err := Extract(plan, Options{Workers: 4})
@@ -454,7 +454,7 @@ func TestLenientRunsBypassCache(t *testing.T) {
 	cacheDir := t.TempDir()
 
 	reg := obs.New()
-	res, err := Extract(plan, Options{Workers: 2, Lenient: true, Cache: NewCache(cacheDir), Obs: reg})
+	res, err := Extract(plan, Options{Workers: 2, Stage1: syslog.Options{Lenient: true}, Cache: NewCache(cacheDir), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,10 +476,10 @@ func TestLenientRunsBypassCache(t *testing.T) {
 }
 
 // referenceLenient runs the single-stream lenient extractor.
-func referenceLenient(t *testing.T, data []byte, opt syslog.LenientOptions) ([]xid.Event, *syslog.IngestionReport, error) {
+func referenceLenient(t *testing.T, data []byte, opt syslog.Options) ([]xid.Event, *syslog.IngestionReport, error) {
 	t.Helper()
 	var events []xid.Event
-	rep, err := syslog.ExtractLenientParallelAlloc(bytes.NewReader(data), 1, opt, nil, nil, func(ev xid.Event) error {
+	rep, err := syslog.Extract(bytes.NewReader(data), opt, func(ev xid.Event) error {
 		events = append(events, ev)
 		return nil
 	})
@@ -508,7 +508,7 @@ func TestLenientShardedMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lopt := syslog.LenientOptions{MaxLineBytes: 8 << 10}
+	lopt := syslog.Options{Lenient: true, MaxLineBytes: 8 << 10}
 	wantEvents, wantRep, err := referenceLenient(t, corrupted, lopt)
 	if err != nil {
 		t.Fatal(err)
@@ -519,7 +519,7 @@ func TestLenientShardedMatchesSingle(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(53))
 	_, plan := writeShards(t, splitLines(corrupted, 4, rng))
-	res, err := Extract(plan, Options{Workers: 4, Lenient: true, LenientOptions: lopt})
+	res, err := Extract(plan, Options{Workers: 4, Stage1: lopt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,8 +557,8 @@ func TestLenientMergedBudgets(t *testing.T) {
 		half := bad.Bytes()[:len(bad.Bytes())/2]
 		shard := append(append([]byte{}, good...), half...)
 		_, plan := writeShards(t, [][]byte{shard, append([]byte(nil), shard...)})
-		res, err := Extract(plan, Options{Workers: 2, Lenient: true,
-			LenientOptions: syslog.LenientOptions{MaxBadLines: 3}})
+		res, err := Extract(plan, Options{Workers: 2,
+			Stage1: syslog.Options{Lenient: true, MaxBadLines: 3}})
 		var be *syslog.BudgetError
 		if !errors.As(err, &be) || be.Kind != syslog.BudgetLines {
 			t.Fatalf("err = %v, want BudgetLines", err)
@@ -572,8 +572,8 @@ func TestLenientMergedBudgets(t *testing.T) {
 		// Shard 2 is 100% bad on its own; diluted by shard 1 the merged
 		// fraction is far below the budget, so the run must succeed.
 		_, plan := writeShards(t, [][]byte{good, bad.Bytes()})
-		res, err := Extract(plan, Options{Workers: 2, Lenient: true,
-			LenientOptions: syslog.LenientOptions{MaxBadFrac: 0.5}})
+		res, err := Extract(plan, Options{Workers: 2,
+			Stage1: syslog.Options{Lenient: true, MaxBadFrac: 0.5}})
 		if err != nil {
 			t.Fatalf("diluted fraction failed: %v", err)
 		}
@@ -583,8 +583,8 @@ func TestLenientMergedBudgets(t *testing.T) {
 
 		// With a budget below the merged fraction it fails as
 		// BudgetFraction.
-		_, err = Extract(plan, Options{Workers: 2, Lenient: true,
-			LenientOptions: syslog.LenientOptions{MaxBadFrac: 0.0001}})
+		_, err = Extract(plan, Options{Workers: 2,
+			Stage1: syslog.Options{Lenient: true, MaxBadFrac: 0.0001}})
 		var be *syslog.BudgetError
 		if !errors.As(err, &be) || be.Kind != syslog.BudgetFraction {
 			t.Fatalf("err = %v, want BudgetFraction", err)

@@ -38,8 +38,8 @@ func FuzzEvshardRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var events []xid.Event
-		rep, err := syslog.ExtractLenientParallelAlloc(bytes.NewReader(data), 1,
-			syslog.LenientOptions{}, nil, nil, func(ev xid.Event) error {
+		rep, err := syslog.Extract(bytes.NewReader(data), syslog.Options{Lenient: true},
+			func(ev xid.Event) error {
 				events = append(events, ev)
 				return nil
 			})
@@ -50,9 +50,8 @@ func FuzzEvshardRoundTrip(f *testing.F) {
 			SourceDigest: [digestLen]byte{1, 2, 3},
 			ConfigDigest: DefaultCacheKey().digest(),
 			SourcePath:   "fuzz.log",
-			Stats: syslog.ExtractStats{Lines: rep.Lines, XIDLines: rep.Records,
-				Skipped: rep.Noise, Malformed: rep.BadTotal},
-			Events: events,
+			Stats:        rep.Stats(),
+			Events:       events,
 		}
 		got, err := DecodeShard(EncodeShard(p))
 		if err != nil {
@@ -84,8 +83,8 @@ func FuzzEvshardDecode(f *testing.F) {
 	// the format's decision boundaries.
 	for _, log := range fuzzSeedLogs(f) {
 		var events []xid.Event
-		rep, err := syslog.ExtractLenientParallelAlloc(bytes.NewReader(log), 1,
-			syslog.LenientOptions{}, nil, nil, func(ev xid.Event) error {
+		rep, err := syslog.Extract(bytes.NewReader(log), syslog.Options{Lenient: true},
+			func(ev xid.Event) error {
 				events = append(events, ev)
 				return nil
 			})

@@ -5,10 +5,9 @@
 // duplicate allocations carried into Stage II. An Interner returns one
 // canonical copy per distinct value instead.
 //
-// An Interner is deliberately NOT safe for concurrent use: the parallel
-// extractor keeps one per worker (pooled and reset per chunk) so no lock
-// ever sits on the per-line path, and the chunk-level hit/miss totals merge
-// deterministically at the ordered fan-in.
+// An Interner is deliberately NOT safe for concurrent use: Stage I keeps one
+// per scanned stream (pooled and reset between runs), so no lock ever sits
+// on the per-line path.
 package intern
 
 // Stats counts interner activity. A hit returned an existing canonical
@@ -80,7 +79,7 @@ func (in *Interner) Intern(b []byte) string {
 func (in *Interner) Stats() Stats { return in.stats }
 
 // Reset empties the table and zeroes the stats, keeping the map's bucket
-// capacity so a pooled interner warms up once per lifetime, not per chunk.
+// capacity so a pooled interner warms up once per lifetime, not per run.
 func (in *Interner) Reset() {
 	clear(in.m)
 	in.stats = Stats{}

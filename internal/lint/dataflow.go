@@ -304,11 +304,6 @@ type flowClosure struct {
 	spawnedGo   bool
 	spawnedPool bool
 	deferred    bool
-	// poolFn names the parallel entry point for spawnedPool closures
-	// ("ForEach", "NewOrdered", …), so analyzers can tell the blocking
-	// entry points — which join their workers before returning — from the
-	// streaming pools that outlive the call.
-	poolFn string
 	// spawnPos is the position of the go/defer/pool-submit statement (the
 	// literal's own position for ordinary closures).
 	spawnPos token.Pos
@@ -316,22 +311,14 @@ type flowClosure struct {
 
 // parallelSpawnFuncs are the internal/parallel entry points whose func
 // arguments run on pool goroutines.
-var parallelSpawnFuncs = map[string]bool{
-	"ForEach": true, "ForEachMeter": true, "Map": true,
-	"NewOrdered": true, "NewOrderedMeter": true,
-}
+var parallelSpawnFuncs = map[string]bool{"ForEach": true, "ForEachMeter": true, "Map": true}
 
-// parallelSpawnName resolves call to the internal/parallel pool entry
-// point it invokes, or "".
-func parallelSpawnName(info *types.Info, call *ast.CallExpr) string {
+// isParallelSpawn reports whether call invokes an internal/parallel pool
+// entry point.
+func isParallelSpawn(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	if fn.Pkg().Path() == "gpuresilience/internal/parallel" && parallelSpawnFuncs[fn.Name()] {
-		return fn.Name()
-	}
-	return ""
+	return fn != nil && fn.Pkg() != nil &&
+		fn.Pkg().Path() == "gpuresilience/internal/parallel" && parallelSpawnFuncs[fn.Name()]
 }
 
 // flowWalk runs the sync dataflow over body and then re-walks every
@@ -390,11 +377,10 @@ func walkNodeWithFacts(info *types.Info, root ast.Node, facts factSet,
 			// goroutines.
 			for i := len(stack) - 1; i >= 0; i-- {
 				if call, isCall := stack[i].(*ast.CallExpr); isCall {
-					if name := parallelSpawnName(info, call); name != "" {
+					if isParallelSpawn(info, call) {
 						for _, a := range call.Args {
 							if ast.Unparen(a) == lit {
 								fc.spawnedPool = true
-								fc.poolFn = name
 								fc.spawnPos = call.Pos()
 							}
 						}

@@ -7,28 +7,23 @@ import (
 )
 
 // GoroutineCapture flags data races through closure capture: a local
-// variable captured by reference by a `go` closure (or a closure handed to
-// a streaming internal/parallel pool) that the spawning function keeps
-// using while the goroutine may still be running — one side writing, the
+// variable captured by reference by a `go` closure that the spawning
+// function keeps using while the goroutine may still be running — one side writing, the
 // other reading or writing. Under Go 1.22 loop variables are per-iteration,
 // so capturing one is safe by itself; what still races is the variable that
 // outlives the spawn and is mutated on both sides of it. An access is
 // excused when a WaitGroup.Wait not yet performed at the spawn point must
 // have completed before it (the goroutine has provably been joined), or
 // when the variable carries a `// guarded by` annotation (then lockguard
-// owns the proof). Blocking pool calls (ForEach, ForEachMeter, Map) join
-// their workers before returning, so code after them is not concurrent
-// with the workers and is not checked.
+// owns the proof). The internal/parallel pool calls (ForEach, ForEachMeter,
+// Map) join their workers before returning, so code after them is not
+// concurrent with the workers and is not checked.
 var GoroutineCapture = &Analyzer{
 	Name:     "goroutinecapture",
-	Doc:      "locals captured by go/pool closures must not be accessed concurrently without sync",
+	Doc:      "locals captured by go closures must not be accessed concurrently without sync",
 	Severity: SevError,
 	Run:      runGoroutineCapture,
 }
-
-// streamingPoolFuncs are the internal/parallel entry points whose workers
-// outlive the call, so the spawner keeps executing concurrently with them.
-var streamingPoolFuncs = map[string]bool{"NewOrdered": true, "NewOrderedMeter": true}
 
 func runGoroutineCapture(p *Pass) {
 	_, guarded := collectGuardsQuiet(p)
@@ -61,7 +56,7 @@ func checkCaptures(p *Pass, fn ast.Node, body *ast.BlockStmt,
 	}
 	var spawns []spawn
 	for _, fc := range closures {
-		if !fc.spawnedGo && !(fc.spawnedPool && streamingPoolFuncs[fc.poolFn]) {
+		if !fc.spawnedGo {
 			continue
 		}
 		caps := capturedVars(info, fn, fc.lit)

@@ -1,7 +1,6 @@
 // Package parallel provides the bounded-concurrency primitives behind the
 // sharded pipeline: a parallel index loop with deterministic error
-// selection, an ordered map, and a streaming worker pool whose results come
-// back in submission order (ordered fan-in).
+// selection and an ordered map.
 //
 // Every construct is worker-count-invariant by design: given the same
 // inputs, results are identical whether the work ran on one goroutine or
@@ -18,9 +17,9 @@ import (
 
 // WorkerMeter observes one worker's completion of one work item: w is the
 // worker index (0-based, stable for the pool's lifetime) and busy is the
-// time the item spent in the worker's transform. A nil meter disables
-// metering entirely — the metered constructors then run the exact unmetered
-// code path, so instrumentation is zero-cost when off. obs.Span's
+// time the item spent in the worker's call. A nil meter disables metering
+// entirely — ForEachMeter then runs the exact unmetered code path, so
+// instrumentation is zero-cost when off. obs.Span's
 // ObserveWorker method satisfies this signature.
 type WorkerMeter func(w int, busy time.Duration)
 
@@ -126,113 +125,4 @@ func Map[T, R any](items []T, workers int, fn func(T) (R, error)) ([]R, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// result carries one worker output.
-type result[R any] struct {
-	val R
-	err error
-}
-
-// job pairs an input with the slot its result must land in.
-type job[T, R any] struct {
-	item T
-	out  chan result[R]
-}
-
-// Ordered is a streaming worker pool with ordered fan-in: a producer
-// Submits items, workers transform them concurrently, and the consumer
-// receives results strictly in submission order — the property the sharded
-// log extractor relies on to keep parallel output identical to a
-// sequential scan. Producer and consumer must run on different goroutines;
-// at most depth submissions may be outstanding before Submit blocks.
-type Ordered[T, R any] struct {
-	work      chan job[T, R]
-	pending   chan chan result[R]
-	abort     chan struct{}
-	abortOnce sync.Once
-}
-
-// NewOrdered starts a pool of workers running fn. depth bounds the number
-// of in-flight items (it is raised to the worker count when smaller).
-func NewOrdered[T, R any](workers, depth int, fn func(T) (R, error)) *Ordered[T, R] {
-	return NewOrderedMeter(workers, depth, nil, fn)
-}
-
-// NewOrderedMeter is NewOrdered with per-worker instrumentation: when meter
-// is non-nil, each item's transform is timed and reported against the
-// worker that ran it. A nil meter starts the exact unmetered workers.
-func NewOrderedMeter[T, R any](workers, depth int, meter WorkerMeter, fn func(T) (R, error)) *Ordered[T, R] {
-	workers = Resolve(workers)
-	if depth < workers {
-		depth = workers
-	}
-	o := &Ordered[T, R]{
-		work:    make(chan job[T, R], depth),
-		pending: make(chan chan result[R], depth),
-		abort:   make(chan struct{}),
-	}
-	for w := 0; w < workers; w++ {
-		run := fn
-		if meter != nil {
-			run = func(item T) (R, error) {
-				start := time.Now() //lint:allow determinism per-item busy metering measures real elapsed time
-				v, err := fn(item)
-				meter(w, time.Since(start)) //lint:allow determinism per-item busy metering measures real elapsed time
-				return v, err
-			}
-		}
-		go func() {
-			for j := range o.work {
-				v, err := run(j.item)
-				j.out <- result[R]{val: v, err: err}
-			}
-		}()
-	}
-	return o
-}
-
-// Submit queues one item. It reports false when the pool was aborted, at
-// which point the producer should stop and call CloseSubmit.
-func (o *Ordered[T, R]) Submit(item T) bool {
-	out := make(chan result[R], 1)
-	select {
-	case o.pending <- out:
-	case <-o.abort:
-		return false
-	}
-	select {
-	case o.work <- job[T, R]{item: item, out: out}:
-		return true
-	case <-o.abort:
-		out <- result[R]{} // keep the consumer's drain from blocking
-		return false
-	}
-}
-
-// CloseSubmit marks the end of input. The consumer's Next drains the
-// remaining in-flight results and then reports done. Must be called
-// exactly once, by the producer.
-func (o *Ordered[T, R]) CloseSubmit() {
-	close(o.work)
-	close(o.pending)
-}
-
-// Next returns the next result in submission order; ok is false once all
-// submitted items have been consumed after CloseSubmit.
-func (o *Ordered[T, R]) Next() (R, bool, error) {
-	out, ok := <-o.pending
-	if !ok {
-		var zero R
-		return zero, false, nil
-	}
-	r := <-out
-	return r.val, true, r.err
-}
-
-// Abort releases a blocked producer after the consumer stops early (e.g.
-// its callback failed). The consumer must still drain Next until done so
-// workers can finish. Safe to call multiple times.
-func (o *Ordered[T, R]) Abort() {
-	o.abortOnce.Do(func() { close(o.abort) })
 }

@@ -93,92 +93,6 @@ func TestMapError(t *testing.T) {
 	}
 }
 
-func TestOrderedPreservesSubmissionOrder(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		o := NewOrdered[int, int](workers, 4, func(v int) (int, error) { return v + 1, nil })
-		const n = 2000
-		go func() {
-			for i := 0; i < n; i++ {
-				if !o.Submit(i) {
-					break
-				}
-			}
-			o.CloseSubmit()
-		}()
-		for i := 0; i < n; i++ {
-			v, ok, err := o.Next()
-			if !ok || err != nil {
-				t.Fatalf("workers=%d: Next() = %v %v %v at %d", workers, v, ok, err, i)
-			}
-			if v != i+1 {
-				t.Fatalf("workers=%d: out of order: got %d at position %d", workers, v, i)
-			}
-		}
-		if _, ok, _ := o.Next(); ok {
-			t.Fatalf("workers=%d: extra result", workers)
-		}
-	}
-}
-
-func TestOrderedWorkerErrorSurfaces(t *testing.T) {
-	o := NewOrdered[int, int](4, 4, func(v int) (int, error) {
-		if v == 5 {
-			return 0, errors.New("worker failed")
-		}
-		return v, nil
-	})
-	go func() {
-		for i := 0; i < 10; i++ {
-			if !o.Submit(i) {
-				break
-			}
-		}
-		o.CloseSubmit()
-	}()
-	sawErr := false
-	for {
-		_, ok, err := o.Next()
-		if !ok {
-			break
-		}
-		if err != nil {
-			sawErr = true
-		}
-	}
-	if !sawErr {
-		t.Fatal("worker error never surfaced")
-	}
-}
-
-// An aborting consumer must unblock a producer stuck on a full pool and
-// still be able to drain cleanly.
-func TestOrderedAbortUnblocksProducer(t *testing.T) {
-	o := NewOrdered[int, int](2, 2, func(v int) (int, error) { return v, nil })
-	prodDone := make(chan struct{})
-	go func() {
-		defer close(prodDone)
-		for i := 0; ; i++ {
-			if !o.Submit(i) {
-				o.CloseSubmit()
-				return
-			}
-		}
-	}()
-	// Consume a few, then abort mid-stream.
-	for i := 0; i < 3; i++ {
-		if _, ok, err := o.Next(); !ok || err != nil {
-			t.Fatalf("early Next failed: %v %v", ok, err)
-		}
-	}
-	o.Abort()
-	for {
-		if _, ok, _ := o.Next(); !ok {
-			break
-		}
-	}
-	<-prodDone // must not deadlock
-}
-
 // meterRecorder is a race-safe WorkerMeter for tests.
 type meterRecorder struct {
 	mu    sync.Mutex
@@ -243,37 +157,5 @@ func TestForEachMeterNilMeter(t *testing.T) {
 	}
 	if ran.Load() != 10 {
 		t.Fatalf("ran %d items", ran.Load())
-	}
-}
-
-// TestOrderedMeterObservesEveryItem does the same for the streaming pool.
-func TestOrderedMeterObservesEveryItem(t *testing.T) {
-	rec := newMeterRecorder()
-	pool := NewOrderedMeter(3, 6, rec.observe, func(x int) (int, error) { return x * x, nil })
-	go func() {
-		defer pool.CloseSubmit()
-		for i := 0; i < 25; i++ {
-			pool.Submit(i)
-		}
-	}()
-	for i := 0; ; i++ {
-		got, ok, err := pool.Next()
-		if !ok {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != i*i {
-			t.Fatalf("result %d = %d, want %d", i, got, i*i)
-		}
-	}
-	if rec.total() != 25 {
-		t.Fatalf("meter saw %d observations, want 25", rec.total())
-	}
-	for w := range rec.calls {
-		if w < 0 || w >= 3 {
-			t.Fatalf("observation for out-of-range worker %d", w)
-		}
 	}
 }

@@ -97,7 +97,7 @@ func parsesHook(line []byte) bool {
 // lenient budget comes back as budgetErr with the other returns nil.
 func extractBatch(data []byte, pcfg core.PipelineConfig) (events []xid.Event, stage1 BatchReport, budgetErr *syslog.BudgetError, err error) {
 	if pcfg.Lenient {
-		ev, rep, lerr := core.ExtractEventsLenient(bytes.NewReader(data), pcfg.Workers, syslog.LenientOptions{
+		ev, rep, lerr := core.ExtractEventsLenient(bytes.NewReader(data), syslog.Options{
 			MaxBadLines: pcfg.MaxBadLines,
 			MaxBadFrac:  pcfg.MaxBadFrac,
 		})
@@ -112,7 +112,7 @@ func extractBatch(data []byte, pcfg core.PipelineConfig) (events []xid.Event, st
 			Lines: rep.Lines, XIDLines: rep.Records, Noise: rep.Noise, BadLines: rep.BadTotal,
 		}, nil, nil
 	}
-	ev, st, serr := core.ExtractEventsParallel(bytes.NewReader(data), pcfg.Workers)
+	ev, st, serr := core.ExtractEvents(bytes.NewReader(data))
 	if serr != nil {
 		return nil, BatchReport{}, nil, serr
 	}
@@ -315,7 +315,7 @@ func Run(c *Compiled, opts Options) (*Report, error) {
 	// skipped.
 	cleanRes := res
 	if damagePresent {
-		cleanEvents, _, serr := core.ExtractEventsParallel(bytes.NewReader(cleanLog), pcfg.Workers)
+		cleanEvents, _, serr := core.ExtractEvents(bytes.NewReader(cleanLog))
 		if serr != nil {
 			return nil, fmt.Errorf("scenario %s: clean extract: %w", sc.Name, serr)
 		}

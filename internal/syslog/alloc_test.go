@@ -3,8 +3,6 @@ package syslog
 import (
 	"bytes"
 	"fmt"
-	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -78,13 +76,12 @@ func TestParseLineBytesInternedZeroAlloc(t *testing.T) {
 	}
 }
 
-// buildPoolLog renders a log big enough to span several pooled chunks, with
-// line boundaries landing unpredictably relative to chunk edges.
-func buildPoolLog(tb testing.TB, lines int) []byte {
+// buildAllocLog renders a repetitive log: 16 nodes, three detail strings,
+// and noise lines in between.
+func buildAllocLog(tb testing.TB, lines int) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	base := time.Date(2023, 6, 1, 0, 0, 0, 0, time.UTC)
-	pad := strings.Repeat("x", 900) // long details force chunk turnover
 	for i := 0; i < lines; i++ {
 		at := base.Add(time.Duration(i) * 250 * time.Millisecond)
 		if i%7 == 3 {
@@ -92,7 +89,7 @@ func buildPoolLog(tb testing.TB, lines int) []byte {
 		} else {
 			ev := xid.Event{
 				Time: at, Node: fmt.Sprintf("gpub%03d", i%16), GPU: i % 8,
-				Code: xid.Code(31 + i%5), Detail: fmt.Sprintf("detail %d %s", i%3, pad),
+				Code: xid.Code(31 + i%5), Detail: fmt.Sprintf("detail %d", i%3),
 			}
 			buf.WriteString(FormatLine(ev, 1000+i, "python"))
 		}
@@ -101,86 +98,25 @@ func buildPoolLog(tb testing.TB, lines int) []byte {
 	return buf.Bytes()
 }
 
-// TestPooledChunkReuse runs the parallel extractors twice over a multi-chunk
-// input so the second pass parses out of recycled buffers, and holds both
-// passes to the sequential result. Run under -race in CI, this is the
-// ownership proof for the chunk pool: a worker returning a buffer it still
-// aliases, or a producer reusing one a worker holds, trips the detector.
-func TestPooledChunkReuse(t *testing.T) {
-	data := buildPoolLog(t, 8000) // ~8 MiB: several defaultChunkBytes chunks
-	var wantEvents []xid.Event
-	wantStats, err := Extract(bytes.NewReader(data), func(ev xid.Event) error {
-		wantEvents = append(wantEvents, ev)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ {
-		var got []xid.Event
-		st, err := ExtractParallel(bytes.NewReader(data), 4, func(ev xid.Event) error {
-			got = append(got, ev)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
-		}
-		if st != wantStats {
-			t.Fatalf("pass %d stats = %+v, want %+v", pass, st, wantStats)
-		}
-		if !reflect.DeepEqual(got, wantEvents) {
-			t.Fatalf("pass %d events diverge from sequential", pass)
-		}
-	}
-}
-
-func TestPooledChunkReuseLenient(t *testing.T) {
-	data := buildPoolLog(t, 8000)
-	opt := LenientOptions{}
-	var wantEvents []xid.Event
-	wantRep, err := ExtractLenient(bytes.NewReader(data), opt, func(ev xid.Event) error {
-		wantEvents = append(wantEvents, ev)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ {
-		var got []xid.Event
-		rep, err := ExtractLenientParallel(bytes.NewReader(data), 4, opt, func(ev xid.Event) error {
-			got = append(got, ev)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
-		}
-		if !reflect.DeepEqual(rep, wantRep) {
-			t.Fatalf("pass %d report = %+v, want %+v", pass, rep, wantRep)
-		}
-		if !reflect.DeepEqual(got, wantEvents) {
-			t.Fatalf("pass %d events diverge from sequential", pass)
-		}
-	}
-}
-
-// TestExtractAllocStats checks that the parallel alloc totals are
-// deterministic at a fixed worker count and that interning is actually
-// deduplicating (hits dominate on a repetitive log).
+// TestExtractAllocStats checks that the alloc totals are deterministic
+// across runs (the pooled interner comes back reset) and that interning is
+// actually deduplicating: one whole-stream interner misses once per
+// distinct node and detail string and hits on every other lookup.
 func TestExtractAllocStats(t *testing.T) {
-	data := buildPoolLog(t, 4000)
-	run := func(workers int) intern.Stats {
+	data := buildAllocLog(t, 4000)
+	run := func(lenient bool) intern.Stats {
 		var st intern.Stats
-		if _, err := ExtractParallelAlloc(bytes.NewReader(data), workers, nil, &st,
+		if _, err := Extract(bytes.NewReader(data), Options{Lenient: lenient, Alloc: &st},
 			func(xid.Event) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 		return st
 	}
-	a, b := run(4), run(4)
-	if a != b {
-		t.Fatalf("alloc stats not deterministic at fixed workers: %+v vs %+v", a, b)
+	a, b, c := run(false), run(false), run(true)
+	if a != b || a != c {
+		t.Fatalf("alloc stats not deterministic: %+v vs %+v vs %+v", a, b, c)
 	}
-	if a.Hits == 0 || a.Misses == 0 {
-		t.Fatalf("interner saw no traffic: %+v", a)
+	if a.Misses != 16+3 || a.Hits == 0 {
+		t.Fatalf("interner totals %+v, want 19 misses", a)
 	}
 }

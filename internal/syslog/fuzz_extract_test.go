@@ -1,25 +1,34 @@
-package syslog_test
+package syslog
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
+	"gpuresilience/internal/intern"
 	"gpuresilience/internal/logfuzz"
-	"gpuresilience/internal/syslog"
 	"gpuresilience/internal/xid"
 )
 
-// fuzzSeeds returns corpus inputs for the extractor fuzz targets: clean
-// formatted logs plus deterministic fuzzer-damaged variants of them, so the
-// mutator starts from realistic corruption shapes rather than raw noise.
+// fuzzSeeds returns corpus inputs for FuzzExtract: clean formatted logs plus
+// deterministic fuzzer-damaged variants of them, so the mutator starts from
+// realistic corruption shapes rather than raw noise.
 func fuzzSeeds(f *testing.F) [][]byte {
+	at := time.Date(2023, 6, 1, 12, 30, 45, 123456000, time.UTC)
 	var clean bytes.Buffer
 	for i := 0; i < 50; i++ {
-		clean.WriteString(record(i))
+		clean.WriteString(FormatLine(xid.Event{
+			Time:   at.Add(time.Duration(i) * time.Second),
+			Node:   fmt.Sprintf("gpub%03d", i%30+1),
+			GPU:    i % 4,
+			Code:   xid.MMU,
+			Detail: fmt.Sprintf("fault at 0x%08x", i),
+		}, 1000+i, "python"))
 		clean.WriteByte('\n')
 		if i%7 == 0 {
-			clean.WriteString(syslog.FormatNoise(at, "gpub002", i))
+			clean.WriteString(FormatNoise(at, "gpub002", i))
 			clean.WriteByte('\n')
 		}
 	}
@@ -41,82 +50,68 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	return seeds
 }
 
-// fuzzMaxInput caps fuzz inputs: classification behavior does not depend on
-// input size past a few chunks, and unbounded inputs just slow the engine.
-const fuzzMaxInput = 1 << 20
+// Fuzz sizing: inputs past a few read buffers add nothing, and a small line
+// ceiling puts overlong lines within the mutator's reach.
+const (
+	fuzzMaxInput = 1 << 20
+	fuzzMaxLine  = 512
+)
 
-// FuzzExtract feeds arbitrary bytes through both strict extraction paths:
-// neither may panic, and when both succeed they must agree exactly.
+// FuzzExtract holds Extract to the historical sequential scanners on
+// arbitrary bytes, in both modes: events, counts, interner totals, the
+// lenient report (quarantine and budget outcome included) and the error
+// text must all match exactly, and nothing may panic.
 func FuzzExtract(f *testing.F) {
-	for _, s := range fuzzSeeds(f) {
-		f.Add(s)
+	seeds := fuzzSeeds(f)
+	for _, lenient := range []bool{false, true} {
+		for _, s := range seeds {
+			f.Add(s, lenient)
+		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, lenient bool) {
 		if len(data) > fuzzMaxInput {
 			return
 		}
-		var seq, par []xid.Event
-		stSeq, errSeq := syslog.Extract(bytes.NewReader(data), func(ev xid.Event) error {
-			seq = append(seq, ev)
+		opt := Options{Lenient: lenient, MaxLineBytes: fuzzMaxLine}
+		if lenient {
+			opt.MaxBadLines, opt.MaxBadFrac = 16, 0.5
+		}
+		var got, want []xid.Event
+		var gotAlloc, wantAlloc intern.Stats
+		opt.Alloc = &gotAlloc
+		rep, err := Extract(bytes.NewReader(data), opt, func(ev xid.Event) error {
+			got = append(got, ev)
 			return nil
 		})
-		stPar, errPar := syslog.ExtractParallel(bytes.NewReader(data), 4, func(ev xid.Event) error {
-			par = append(par, ev)
+		collect := func(ev xid.Event) error {
+			want = append(want, ev)
 			return nil
-		})
-		if (errSeq == nil) != (errPar == nil) {
-			t.Fatalf("strict paths disagree on failure: seq=%v par=%v", errSeq, errPar)
 		}
-		if errSeq == nil {
-			if stSeq != stPar {
-				t.Fatalf("stats diverge: %+v vs %+v", stSeq, stPar)
+		var wantErr error
+		if lenient {
+			var wantRep *IngestionReport
+			wantRep, wantErr = oracleExtractLenient(bytes.NewReader(data), opt, &wantAlloc, collect)
+			if !reflect.DeepEqual(rep, wantRep) {
+				t.Fatalf("lenient reports diverge:\n got %+v\nwant %+v", rep, wantRep)
 			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("events diverge: %d vs %d", len(seq), len(par))
+			if err == nil && rep.Records+rep.Noise+rep.BadTotal != rep.Lines {
+				t.Fatalf("line accounting broken: %+v", rep)
 			}
-		}
-	})
-}
-
-// FuzzExtractParallel feeds arbitrary bytes through the lenient extractor at
-// several worker counts: no panics, no budget surprises (budgets unlimited),
-// and the ingestion report plus recovered events must be identical on the
-// sequential and sharded paths.
-func FuzzExtractParallel(f *testing.F) {
-	for _, s := range fuzzSeeds(f) {
-		f.Add(s)
-	}
-	opt := syslog.LenientOptions{MaxLineBytes: 64 << 10}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > fuzzMaxInput {
-			return
-		}
-		var seq []xid.Event
-		repSeq, err := syslog.ExtractLenient(bytes.NewReader(data), opt, func(ev xid.Event) error {
-			seq = append(seq, ev)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("lenient sequential failed (budgets unlimited): %v", err)
-		}
-		for _, workers := range []int{2, 5} {
-			var par []xid.Event
-			repPar, err := syslog.ExtractLenientParallel(bytes.NewReader(data), workers, opt, func(ev xid.Event) error {
-				par = append(par, ev)
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("lenient workers=%d failed: %v", workers, err)
-			}
-			if !reflect.DeepEqual(repSeq, repPar) {
-				t.Fatalf("workers=%d: reports diverge:\n%+v\nvs\n%+v", workers, repSeq, repPar)
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("workers=%d: events diverge: %d vs %d", workers, len(seq), len(par))
+		} else {
+			var wantSt ExtractStats
+			wantSt, wantErr = oracleExtractStrict(bytes.NewReader(data), fuzzMaxLine, &wantAlloc, collect)
+			if rep.Stats() != wantSt {
+				t.Fatalf("strict stats diverge: got %+v, want %+v", rep.Stats(), wantSt)
 			}
 		}
-		if repSeq.Records+repSeq.Noise+repSeq.BadTotal != repSeq.Lines {
-			t.Fatalf("line accounting broken: %+v", repSeq)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("errors diverge: got %v, want %v", err, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("events diverge: %d vs %d", len(got), len(want))
+		}
+		if gotAlloc != wantAlloc {
+			t.Fatalf("interner totals diverge: %+v vs %+v", gotAlloc, wantAlloc)
 		}
 	})
 }

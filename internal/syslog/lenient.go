@@ -1,15 +1,6 @@
 package syslog
 
-import (
-	"bufio"
-	"errors"
-	"fmt"
-	"io"
-	"unicode/utf8"
-
-	"gpuresilience/internal/intern"
-	"gpuresilience/internal/xid"
-)
+import "fmt"
 
 // LineClass is the corruption taxonomy of lenient Stage I: every line that
 // looks like an Xid record but cannot be parsed — or cannot be read at all —
@@ -89,54 +80,13 @@ func (e *ParseError) Error() string {
 // Unwrap exposes the underlying parse failure, when any.
 func (e *ParseError) Unwrap() error { return e.cause }
 
-// Lenient-mode sizing defaults.
+// Lenient-mode quarantine sizing.
 const (
-	// defaultQuarantinePerClass bounds the sidecar sample per category.
-	defaultQuarantinePerClass = 4
+	// quarantinePerClass bounds the sidecar sample per category.
+	quarantinePerClass = 4
 	// quarantineSampleBytes truncates each quarantined line sample.
 	quarantineSampleBytes = 160
 )
-
-// LenientOptions configures corruption-tolerant extraction. The zero value
-// means: no error budget (never fail on content), default quarantine bound,
-// default line-length ceiling (MaxLineBytes).
-type LenientOptions struct {
-	// MaxBadLines is the absolute error budget: once more than this many
-	// lines have been classified as corrupt, extraction fails fast with a
-	// *BudgetError. 0 disables the absolute budget.
-	MaxBadLines int
-	// MaxBadFrac is the fractional error budget, evaluated over the whole
-	// stream at EOF (a running fraction is not monotone, so checking it
-	// mid-stream would make the outcome depend on chunking). 0 disables it.
-	MaxBadFrac float64
-	// QuarantinePerClass bounds how many sample lines are retained per
-	// corruption category (first-seen order). 0 means the default (4).
-	QuarantinePerClass int
-	// MaxLineBytes overrides the line-length ceiling, mainly for tests.
-	// 0 means MaxLineBytes (4 MiB); values below 4 KiB are raised to 4 KiB
-	// so overlong-line quarantine samples are identical on the sequential
-	// and chunked paths.
-	MaxLineBytes int
-}
-
-// minLineCeiling is the smallest accepted MaxLineBytes override. It must
-// exceed quarantineSampleBytes by enough that every path has the full
-// sample in hand when it detects an overlong line.
-const minLineCeiling = 4 << 10
-
-// withDefaults resolves zero fields to their effective values.
-func (o LenientOptions) withDefaults() LenientOptions {
-	if o.QuarantinePerClass <= 0 {
-		o.QuarantinePerClass = defaultQuarantinePerClass
-	}
-	if o.MaxLineBytes <= 0 {
-		o.MaxLineBytes = MaxLineBytes
-	}
-	if o.MaxLineBytes < minLineCeiling {
-		o.MaxLineBytes = minLineCeiling
-	}
-	return o
-}
 
 // Quarantined is one corrupt line retained as evidence: its 1-based line
 // number in the stream, its category, and a truncated sample of its bytes.
@@ -157,11 +107,10 @@ type BudgetStatus struct {
 	Dominant LineClass // see Exceeded
 }
 
-// IngestionReport is the structured outcome of a lenient Stage I run: what
-// was scanned, what was recovered, and what was quarantined. On a nil-error
-// run the report is identical at any worker count; after a budget or
-// callback failure it reflects the state at the abort point, which is
-// chunking-dependent.
+// IngestionReport is the structured outcome of a Stage I run: what was
+// scanned, what was recovered, and — in lenient mode — what was
+// quarantined. After a budget or callback failure it reflects the state at
+// the abort point.
 type IngestionReport struct {
 	// Lines is the total number of physical lines scanned (overlong lines
 	// count once).
@@ -174,8 +123,7 @@ type IngestionReport struct {
 	Bad [NumLineClasses]int
 	// BadTotal is the sum over Bad.
 	BadTotal int
-	// Quarantine holds up to QuarantinePerClass samples per category, in
-	// stream order.
+	// Quarantine holds up to four samples per category, in stream order.
 	Quarantine []Quarantined
 	Budget     BudgetStatus // budget configuration and outcome
 }
@@ -186,6 +134,17 @@ func (r *IngestionReport) BadFrac() float64 {
 		return 0
 	}
 	return float64(r.BadTotal) / float64(r.Lines)
+}
+
+// Stats projects the report onto the strict-mode stat shape (corrupt lines
+// count as malformed), so downstream summaries read the same in either mode.
+func (r *IngestionReport) Stats() ExtractStats {
+	return ExtractStats{
+		Lines:     r.Lines,
+		XIDLines:  r.Records,
+		Skipped:   r.Noise,
+		Malformed: r.BadTotal,
+	}
 }
 
 // Dominant returns the corruption category with the highest count and that
@@ -243,40 +202,6 @@ func (e *BudgetError) Error() string {
 	}
 }
 
-// lineKind is the three-way outcome of classifying one line.
-type lineKind int
-
-const (
-	lineRecord lineKind = iota
-	lineNoise
-	lineBad
-)
-
-// classifyLine classifies one complete (not overlong) line, straight off
-// the reader's byte slice. Order matters and is identical on the
-// sequential and chunked paths: parse first — a well-shaped record is
-// accepted even if its free-text detail carries damaged bytes — then flag
-// unreadable non-matching lines as non-UTF-8, and only then fall through
-// to noise. Event strings come from the interner, so the caller may reuse
-// line's backing array immediately.
-func classifyLine(line []byte, in *intern.Interner) (xid.Event, LineClass, lineKind) {
-	ev, ok, err := parseLineBytes(line, in)
-	if err != nil {
-		var pe *ParseError
-		if errors.As(err, &pe) {
-			return xid.Event{}, pe.Class, lineBad
-		}
-		return xid.Event{}, ClassBadTimestamp, lineBad
-	}
-	if ok {
-		return ev, 0, lineRecord
-	}
-	if !utf8.Valid(line) {
-		return xid.Event{}, ClassNonUTF8, lineBad
-	}
-	return xid.Event{}, 0, lineNoise
-}
-
 // sampleOf truncates a corrupt line to its quarantine sample.
 func sampleOf(line []byte) string {
 	return string(truncateSample(line))
@@ -291,7 +216,7 @@ func truncateSample(line []byte) []byte {
 }
 
 // trimCR drops one trailing carriage return, mirroring bufio.ScanLines so
-// CR-LF logs classify identically on every path.
+// CR-LF logs classify the same as LF logs.
 func trimCR(line []byte) []byte {
 	if n := len(line); n > 0 && line[n-1] == '\r' {
 		return line[:n-1]
@@ -302,46 +227,54 @@ func trimCR(line []byte) []byte {
 // reportState accumulates an IngestionReport plus the per-class quarantine
 // fill levels (which are not part of the report itself).
 type reportState struct {
-	rep IngestionReport
-	qn  [NumLineClasses]int
-	opt LenientOptions
+	rep     IngestionReport
+	qn      [NumLineClasses]int
+	lenient bool
 }
 
-func newReportState(opt LenientOptions) *reportState {
-	return &reportState{
-		rep: IngestionReport{Budget: BudgetStatus{
-			MaxBadLines: opt.MaxBadLines,
-			MaxBadFrac:  opt.MaxBadFrac,
-		}},
-		opt: opt,
+// newReportState starts a report under opt. The error budgets are a
+// lenient-mode setting; a strict report carries none.
+func newReportState(opt Options) *reportState {
+	s := &reportState{lenient: opt.Lenient}
+	if opt.Lenient {
+		s.rep.Budget = BudgetStatus{MaxBadLines: opt.MaxBadLines, MaxBadFrac: opt.MaxBadFrac}
 	}
+	return s
 }
 
-// bad records one corrupt line (1-based line number) and returns a
-// *BudgetError when the absolute budget is now exceeded.
-func (s *reportState) bad(class LineClass, line int, sample string) error {
-	s.record(class, line, sample)
+// bad records one corrupt line — the report's latest line — and returns a
+// *BudgetError when the absolute budget is now exceeded. Strict mode only
+// counts it: no quarantine sample, no budget.
+func (s *reportState) bad(class LineClass, line []byte) error {
+	s.rep.Bad[class]++
+	s.rep.BadTotal++
+	if !s.lenient {
+		return nil
+	}
+	s.quarantine(Quarantined{Line: s.rep.Lines, Class: class, Sample: sampleOf(line)})
 	return s.checkAbs()
 }
 
-// record counts and quarantines one corrupt line without a budget check —
-// the chunked path records per worker but budgets only at the ordered
-// fan-in, so the decision is identical at any worker count.
-func (s *reportState) record(class LineClass, line int, sample string) {
-	s.rep.Bad[class]++
-	s.rep.BadTotal++
-	if s.qn[class] < s.opt.QuarantinePerClass {
-		s.qn[class]++
-		s.rep.Quarantine = append(s.rep.Quarantine, Quarantined{
-			Line: line, Class: class, Sample: sample,
-		})
+// quarantine keeps q when its category still has room.
+func (s *reportState) quarantine(q Quarantined) {
+	if s.qn[q.Class] < quarantinePerClass {
+		s.qn[q.Class]++
+		s.rep.Quarantine = append(s.rep.Quarantine, q)
 	}
 }
 
 // checkAbs enforces the absolute bad-line budget.
 func (s *reportState) checkAbs() error {
-	if s.opt.MaxBadLines > 0 && s.rep.BadTotal > s.opt.MaxBadLines {
+	if b := s.rep.Budget.MaxBadLines; b > 0 && s.rep.BadTotal > b {
 		return s.fail(BudgetLines)
+	}
+	return nil
+}
+
+// finish runs the end-of-stream fractional budget check.
+func (s *reportState) finish() error {
+	if b := s.rep.Budget.MaxBadFrac; b > 0 && s.rep.BadFrac() > b {
+		return s.fail(BudgetFraction)
 	}
 	return nil
 }
@@ -351,9 +284,9 @@ func (s *reportState) fail(kind BudgetKind) error {
 	dom, _ := s.rep.Dominant()
 	s.rep.Budget.Exceeded = true
 	s.rep.Budget.Dominant = dom
-	limit := float64(s.opt.MaxBadLines)
+	limit := float64(s.rep.Budget.MaxBadLines)
 	if kind == BudgetFraction {
-		limit = s.opt.MaxBadFrac
+		limit = s.rep.Budget.MaxBadFrac
 	}
 	return &BudgetError{
 		Kind:     kind,
@@ -364,110 +297,30 @@ func (s *reportState) fail(kind BudgetKind) error {
 	}
 }
 
-// finish runs the EOF-time fractional budget check.
-func (s *reportState) finish() error {
-	if s.opt.MaxBadFrac > 0 && s.rep.BadFrac() > s.opt.MaxBadFrac {
-		return s.fail(BudgetFraction)
+// MergeReports folds the lenient reports of consecutive streams, in stream
+// order, into the report of their concatenation: counts sum, quarantine
+// samples keep the per-category bound with line numbers rebased, and opt's
+// error budgets are enforced over the merged totals. A failure is the
+// *BudgetError a single-stream run over the concatenation would return;
+// the merged report comes back either way.
+func MergeReports(reports []*IngestionReport, opt Options) (*IngestionReport, error) {
+	opt.Lenient = true
+	s := newReportState(opt)
+	for _, r := range reports {
+		for _, q := range r.Quarantine {
+			q.Line += s.rep.Lines
+			s.quarantine(q)
+		}
+		s.rep.Lines += r.Lines
+		s.rep.Records += r.Records
+		s.rep.Noise += r.Noise
+		for c, n := range r.Bad {
+			s.rep.Bad[c] += n
+		}
+		s.rep.BadTotal += r.BadTotal
 	}
-	return nil
-}
-
-// ExtractLenient is the corruption-tolerant Stage I (sequential path):
-// instead of treating a damaged line as fatal, it classifies the damage
-// (LineClass), quarantines a bounded sample, and keeps scanning — until an
-// error budget says the log as a whole cannot be trusted. On a nil-error
-// run the report equals ExtractLenientParallel's at any worker count.
-//
-// The returned report is always non-nil, including alongside an error.
-func ExtractLenient(r io.Reader, opt LenientOptions, fn func(xid.Event) error) (*IngestionReport, error) {
-	return extractLenientSeq(r, opt, nil, fn)
-}
-
-// extractLenientSeq is ExtractLenient with interner accounting: a non-nil
-// alloc receives the whole-stream interner's hit/miss totals.
-func extractLenientSeq(r io.Reader, opt LenientOptions, alloc *intern.Stats, fn func(xid.Event) error) (*IngestionReport, error) {
-	opt = opt.withDefaults()
-	st := newReportState(opt)
-	in := getInterner()
-	defer releaseInterner(in, alloc)
-	br := bufio.NewReaderSize(r, scanBufBytes)
-	for {
-		line, overlong, err := readLenientLine(br, opt.MaxLineBytes)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return &st.rep, fmt.Errorf("syslog: read failed at line %d: %w", st.rep.Lines+1, err)
-		}
-		st.rep.Lines++
-		if overlong {
-			if berr := st.bad(ClassOverlong, st.rep.Lines, sampleOf(line)); berr != nil {
-				return &st.rep, berr
-			}
-			continue
-		}
-		line = trimCR(line)
-		ev, class, kind := classifyLine(line, in)
-		switch kind {
-		case lineRecord:
-			st.rep.Records++
-			if err := fn(ev); err != nil {
-				return &st.rep, err
-			}
-		case lineNoise:
-			st.rep.Noise++
-		case lineBad:
-			if berr := st.bad(class, st.rep.Lines, sampleOf(line)); berr != nil {
-				return &st.rep, berr
-			}
-		}
+	if err := s.checkAbs(); err != nil {
+		return &s.rep, err
 	}
-	if err := st.finish(); err != nil {
-		return &st.rep, err
-	}
-	return &st.rep, nil
-}
-
-// readLenientLine returns the next physical line (newline stripped). When
-// the line exceeds max bytes it reports overlong=true, returns only the
-// leading sample-sized prefix, and discards the rest of the line so the
-// scan can continue — the recovery move the strict scanner refuses to make.
-// err is io.EOF once the stream is exhausted.
-func readLenientLine(br *bufio.Reader, max int) (line []byte, overlong bool, err error) {
-	var buf []byte
-	for {
-		frag, err := br.ReadSlice('\n')
-		buf = append(buf, frag...)
-		switch err {
-		case nil, io.EOF:
-			complete := len(buf) > 0 && buf[len(buf)-1] == '\n'
-			if complete {
-				buf = buf[:len(buf)-1]
-			}
-			if err == io.EOF && len(buf) == 0 && !complete {
-				return nil, false, io.EOF
-			}
-			if len(buf) > max {
-				return truncateSample(buf), true, nil
-			}
-			return buf, false, nil
-		case bufio.ErrBufferFull:
-			if len(buf) > max {
-				// Already past the ceiling: discard the rest of the line.
-				sample := truncateSample(buf)
-				for {
-					switch _, err := br.ReadSlice('\n'); err {
-					case nil, io.EOF:
-						return sample, true, nil
-					case bufio.ErrBufferFull:
-						// keep discarding
-					default:
-						return nil, false, err
-					}
-				}
-			}
-		default:
-			return nil, false, err
-		}
-	}
+	return &s.rep, s.finish()
 }

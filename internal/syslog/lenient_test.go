@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"gpuresilience/internal/logfuzz"
 	"gpuresilience/internal/syslog"
 	"gpuresilience/internal/xid"
 )
@@ -27,12 +26,13 @@ func record(i int) string {
 	}, 1000+i, "python")
 }
 
-// extractLenient runs the lenient extractor at a worker count and collects
-// the recovered events.
-func extractLenient(t *testing.T, input []byte, workers int, opt syslog.LenientOptions) ([]xid.Event, *syslog.IngestionReport, error) {
+// extractLenient runs the lenient extractor and collects the recovered
+// events.
+func extractLenient(t *testing.T, input []byte, opt syslog.Options) ([]xid.Event, *syslog.IngestionReport, error) {
 	t.Helper()
 	var events []xid.Event
-	rep, err := syslog.ExtractLenientParallel(bytes.NewReader(input), workers, opt, func(ev xid.Event) error {
+	opt.Lenient = true
+	rep, err := syslog.Extract(bytes.NewReader(input), opt, func(ev xid.Event) error {
 		events = append(events, ev)
 		return nil
 	})
@@ -42,8 +42,7 @@ func extractLenient(t *testing.T, input []byte, workers int, opt syslog.LenientO
 	return events, rep, err
 }
 
-// TestLenientClassification exercises every taxonomy category once and
-// checks both paths count identically.
+// TestLenientClassification exercises every taxonomy category once.
 func TestLenientClassification(t *testing.T) {
 	good := record(1)
 	lines := []string{
@@ -61,34 +60,30 @@ func TestLenientClassification(t *testing.T) {
 		record(4),
 	}
 	input := []byte(strings.Join(lines, "\n") + "\n")
-	opt := syslog.LenientOptions{MaxLineBytes: 8 << 10}
-
-	for _, workers := range []int{1, 4} {
-		events, rep, err := extractLenient(t, input, workers, opt)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	events, rep, err := extractLenient(t, input, syslog.Options{MaxLineBytes: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 || rep.Records != 2 {
+		t.Fatalf("recovered %d records, want 2", len(events))
+	}
+	want := map[syslog.LineClass]int{
+		syslog.ClassBadTimestamp: 1,
+		syslog.ClassBadPCIAddr:   1,
+		syslog.ClassBadXIDCode:   1,
+		syslog.ClassOverlong:     1,
+		syslog.ClassNonUTF8:      1,
+	}
+	for class, n := range want {
+		if rep.Bad[class] != n {
+			t.Errorf("%v = %d, want %d", class, rep.Bad[class], n)
 		}
-		if len(events) != 2 || rep.Records != 2 {
-			t.Fatalf("workers=%d: recovered %d records, want 2", workers, len(events))
-		}
-		want := map[syslog.LineClass]int{
-			syslog.ClassBadTimestamp: 1,
-			syslog.ClassBadPCIAddr:   1,
-			syslog.ClassBadXIDCode:   1,
-			syslog.ClassOverlong:     1,
-			syslog.ClassNonUTF8:      1,
-		}
-		for class, n := range want {
-			if rep.Bad[class] != n {
-				t.Errorf("workers=%d: %v = %d, want %d", workers, class, rep.Bad[class], n)
-			}
-		}
-		if rep.BadTotal != 5 || rep.Noise != 1 || rep.Lines != len(lines) {
-			t.Fatalf("workers=%d: report %+v", workers, rep)
-		}
-		if rep.Records+rep.Noise+rep.BadTotal != rep.Lines {
-			t.Fatalf("workers=%d: line accounting broken: %+v", workers, rep)
-		}
+	}
+	if rep.BadTotal != 5 || rep.Noise != 1 || rep.Lines != len(lines) {
+		t.Fatalf("report %+v", rep)
+	}
+	if rep.Records+rep.Noise+rep.BadTotal != rep.Lines {
+		t.Fatalf("line accounting broken: %+v", rep)
 	}
 }
 
@@ -105,14 +100,15 @@ func TestLenientMatchesStrictOnCleanLog(t *testing.T) {
 		}
 	}
 	var strictEvents []xid.Event
-	st, err := syslog.Extract(bytes.NewReader(buf.Bytes()), func(ev xid.Event) error {
+	strict, err := syslog.Extract(bytes.NewReader(buf.Bytes()), syslog.Options{}, func(ev xid.Event) error {
 		strictEvents = append(strictEvents, ev)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, rep, err := extractLenient(t, buf.Bytes(), 1, syslog.LenientOptions{})
+	st := strict.Stats()
+	events, rep, err := extractLenient(t, buf.Bytes(), syslog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +121,7 @@ func TestLenientMatchesStrictOnCleanLog(t *testing.T) {
 }
 
 // TestAbsoluteBudgetFailsFast: exceeding -max-bad-lines fails with a typed
-// error naming the dominant category, on both paths.
+// error naming the dominant category.
 func TestAbsoluteBudgetFailsFast(t *testing.T) {
 	var buf bytes.Buffer
 	bad := strings.Replace(record(0), ": 31,", ": 9999,", 1)
@@ -135,23 +131,24 @@ func TestAbsoluteBudgetFailsFast(t *testing.T) {
 		buf.WriteString(bad)
 		buf.WriteByte('\n')
 	}
-	for _, workers := range []int{1, 4} {
-		_, rep, err := extractLenient(t, buf.Bytes(), workers, syslog.LenientOptions{MaxBadLines: 10})
-		var berr *syslog.BudgetError
-		if !errors.As(err, &berr) {
-			t.Fatalf("workers=%d: err = %v, want *BudgetError", workers, err)
-		}
-		if berr.Kind != syslog.BudgetLines || berr.Dominant != syslog.ClassBadXIDCode {
-			t.Fatalf("workers=%d: %+v", workers, berr)
-		}
-		if !rep.Budget.Exceeded || rep.Budget.Dominant != syslog.ClassBadXIDCode {
-			t.Fatalf("workers=%d: budget status %+v", workers, rep.Budget)
-		}
+	_, rep, err := extractLenient(t, buf.Bytes(), syslog.Options{MaxBadLines: 10})
+	var berr *syslog.BudgetError
+	if !errors.As(err, &berr) {
+		t.Fatalf("err = %v, want *BudgetError", err)
+	}
+	if berr.Kind != syslog.BudgetLines || berr.Dominant != syslog.ClassBadXIDCode {
+		t.Fatalf("%+v", berr)
+	}
+	if !rep.Budget.Exceeded || rep.Budget.Dominant != syslog.ClassBadXIDCode {
+		t.Fatalf("budget status %+v", rep.Budget)
+	}
+	// Fail fast: the scan stops at the eleventh bad line (line 22).
+	if rep.Lines != 22 || rep.BadTotal != 11 {
+		t.Fatalf("scan did not stop at the budget: %+v", rep)
 	}
 }
 
-// TestFractionBudget: the whole-stream fraction budget is checked at EOF
-// and its outcome is worker-count-invariant.
+// TestFractionBudget: the whole-stream fraction budget is checked at EOF.
 func TestFractionBudget(t *testing.T) {
 	var buf bytes.Buffer
 	bad := "not-utf8 \xff\xfe line"
@@ -163,19 +160,17 @@ func TestFractionBudget(t *testing.T) {
 		buf.WriteString(bad)
 		buf.WriteByte('\n')
 	}
-	for _, workers := range []int{1, 4} {
-		// 10% bad: a 5% budget fails, a 50% budget passes.
-		_, _, err := extractLenient(t, buf.Bytes(), workers, syslog.LenientOptions{MaxBadFrac: 0.05})
-		var berr *syslog.BudgetError
-		if !errors.As(err, &berr) || berr.Kind != syslog.BudgetFraction {
-			t.Fatalf("workers=%d: err = %v, want fraction BudgetError", workers, err)
-		}
-		if berr.Dominant != syslog.ClassNonUTF8 {
-			t.Fatalf("workers=%d: dominant = %v", workers, berr.Dominant)
-		}
-		if _, _, err := extractLenient(t, buf.Bytes(), workers, syslog.LenientOptions{MaxBadFrac: 0.5}); err != nil {
-			t.Fatalf("workers=%d: 50%% budget failed: %v", workers, err)
-		}
+	// 10% bad: a 5% budget fails, a 50% budget passes.
+	_, _, err := extractLenient(t, buf.Bytes(), syslog.Options{MaxBadFrac: 0.05})
+	var berr *syslog.BudgetError
+	if !errors.As(err, &berr) || berr.Kind != syslog.BudgetFraction {
+		t.Fatalf("err = %v, want fraction BudgetError", err)
+	}
+	if berr.Dominant != syslog.ClassNonUTF8 {
+		t.Fatalf("dominant = %v", berr.Dominant)
+	}
+	if _, _, err := extractLenient(t, buf.Bytes(), syslog.Options{MaxBadFrac: 0.5}); err != nil {
+		t.Fatalf("50%% budget failed: %v", err)
 	}
 }
 
@@ -196,204 +191,60 @@ func TestQuarantineBoundedAndNumbered(t *testing.T) {
 		}
 	}
 	input := []byte(strings.Join(lines, "\n") + "\n")
-	for _, workers := range []int{1, 4} {
-		_, rep, err := extractLenient(t, input, workers, syslog.LenientOptions{QuarantinePerClass: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Quarantine) != 4 {
-			t.Fatalf("workers=%d: %d quarantined, want 4", workers, len(rep.Quarantine))
-		}
-		for i, q := range rep.Quarantine {
-			if q.Line != badAt[i] || q.Class != syslog.ClassBadXIDCode {
-				t.Fatalf("workers=%d: quarantine[%d] = %+v, want line %d", workers, i, q, badAt[i])
-			}
-			if len(q.Sample) == 0 || len(q.Sample) > 160 {
-				t.Fatalf("sample size %d", len(q.Sample))
-			}
-		}
-		if rep.Bad[syslog.ClassBadXIDCode] != len(badAt) {
-			t.Fatalf("counted %d, want %d", rep.Bad[syslog.ClassBadXIDCode], len(badAt))
-		}
-	}
-}
-
-// chunkBytes mirrors the parallel extractor's shard size (1 MiB).
-const chunkBytes = 1 << 20
-
-// boundaryInput builds > 2 MiB of valid lines with the line that straddles
-// the first chunk boundary replaced by mutate(line). It returns the input
-// and the 1-based index of the mutated line.
-func boundaryInput(t *testing.T, mutate func(string) string) ([]byte, int) {
-	t.Helper()
-	var buf bytes.Buffer
-	lineNo, straddler := 0, 0
-	for buf.Len() < 2*chunkBytes+4096 {
-		line := record(lineNo)
-		lineNo++
-		start := buf.Len()
-		if start <= chunkBytes && chunkBytes < start+len(line)+1 && straddler == 0 {
-			line = mutate(line)
-			straddler = lineNo
-		}
-		buf.WriteString(line)
-		buf.WriteByte('\n')
-	}
-	if straddler == 0 {
-		t.Fatal("no line straddled the chunk boundary")
-	}
-	return buf.Bytes(), straddler
-}
-
-// TestChunkBoundaryCorruptLineStrict: a malformed line exactly at the 1 MiB
-// chunk edge is counted identically by the strict sequential and sharded
-// paths.
-func TestChunkBoundaryCorruptLineStrict(t *testing.T) {
-	input, _ := boundaryInput(t, func(line string) string {
-		return "9999-99-99T99:99:99.000000Z" + line[len("2023-06-01T12:30:45.123456Z"):]
-	})
-	var seq, par []xid.Event
-	stSeq, err := syslog.Extract(bytes.NewReader(input), func(ev xid.Event) error {
-		seq = append(seq, ev)
-		return nil
-	})
+	_, rep, err := extractLenient(t, input, syslog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stPar, err := syslog.ExtractParallel(bytes.NewReader(input), 4, func(ev xid.Event) error {
-		par = append(par, ev)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if len(rep.Quarantine) != 4 {
+		t.Fatalf("%d quarantined, want 4", len(rep.Quarantine))
 	}
-	if stSeq != stPar || stSeq.Malformed != 1 {
-		t.Fatalf("stats diverge: seq %+v par %+v", stSeq, stPar)
+	for i, q := range rep.Quarantine {
+		if q.Line != badAt[i] || q.Class != syslog.ClassBadXIDCode {
+			t.Fatalf("quarantine[%d] = %+v, want line %d", i, q, badAt[i])
+		}
+		if len(q.Sample) == 0 || len(q.Sample) > 160 {
+			t.Fatalf("sample size %d", len(q.Sample))
+		}
 	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("events diverge at chunk boundary")
+	if rep.Bad[syslog.ClassBadXIDCode] != len(badAt) {
+		t.Fatalf("counted %d, want %d", rep.Bad[syslog.ClassBadXIDCode], len(badAt))
 	}
 }
 
-// TestChunkBoundaryCorruptLineLenient: the same boundary line is classified
-// and quarantined with an identical report at any worker count.
-func TestChunkBoundaryCorruptLineLenient(t *testing.T) {
-	input, straddler := boundaryInput(t, func(line string) string {
-		return strings.Replace(line, ": 31,", ": 9999,", 1)
-	})
-	base, baseRep, err := extractLenient(t, input, 1, syslog.LenientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseRep.Bad[syslog.ClassBadXIDCode] != 1 || baseRep.Quarantine[0].Line != straddler {
-		t.Fatalf("boundary line not classified: %+v", baseRep)
-	}
-	for _, workers := range []int{4, 16} {
-		events, rep, err := extractLenient(t, input, workers, syslog.LenientOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rep, baseRep) {
-			t.Fatalf("workers=%d report differs:\n%+v\nvs\n%+v", workers, rep, baseRep)
-		}
-		if !reflect.DeepEqual(events, base) {
-			t.Fatalf("workers=%d events differ", workers)
-		}
-	}
-}
-
-// TestOverlongLineAtChunkBoundary: a line longer than the ceiling that
-// begins before the 1 MiB edge is one overlong record everywhere, in both
-// strict (fatal, same line number) and lenient (skipped, identical report)
-// modes.
-func TestOverlongLineAtChunkBoundary(t *testing.T) {
+// TestOverlongLineDefaultCeiling: a line past the default 4 MiB ceiling,
+// spanning many read buffers, is fatal with its line number in strict mode
+// and one quarantined overlong line in lenient mode, with every other
+// record recovered.
+func TestOverlongLineDefaultCeiling(t *testing.T) {
 	var buf bytes.Buffer
 	before := 0
-	for buf.Len() < chunkBytes-512 {
+	for buf.Len() < 1<<20 {
 		buf.WriteString(record(before))
 		buf.WriteByte('\n')
 		before++
 	}
-	giant := strings.Repeat("g", syslog.MaxLineBytes+4096)
-	buf.WriteString(giant)
+	buf.WriteString(strings.Repeat("g", syslog.MaxLineBytes+4096))
 	buf.WriteByte('\n')
-	after := record(before + 1)
-	buf.WriteString(after)
+	buf.WriteString(record(before + 1))
 	buf.WriteByte('\n')
 	input := buf.Bytes()
 	wantLine := before + 1
 
-	// Strict: both paths fail, naming the same line.
-	_, seqErr := syslog.Extract(bytes.NewReader(input), func(xid.Event) error { return nil })
-	_, parErr := syslog.ExtractParallel(bytes.NewReader(input), 4, func(xid.Event) error { return nil })
+	_, err := syslog.Extract(bytes.NewReader(input), syslog.Options{}, func(xid.Event) error { return nil })
 	wantMsg := fmt.Sprintf("line %d longer than", wantLine)
-	if seqErr == nil || !strings.Contains(seqErr.Error(), wantMsg) {
-		t.Fatalf("sequential strict: %v, want mention of %q", seqErr, wantMsg)
-	}
-	if parErr == nil || !strings.Contains(parErr.Error(), wantMsg) {
-		t.Fatalf("parallel strict: %v, want mention of %q", parErr, wantMsg)
+	if err == nil || !strings.Contains(err.Error(), wantMsg) {
+		t.Fatalf("strict: %v, want mention of %q", err, wantMsg)
 	}
 
-	// Lenient: the overlong line is skipped, everything else is recovered,
-	// and the report is identical at any worker count.
-	base, baseRep, err := extractLenient(t, input, 1, syslog.LenientOptions{})
+	_, rep, err := extractLenient(t, input, syslog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if baseRep.Bad[syslog.ClassOverlong] != 1 || baseRep.Records != before+1 {
-		t.Fatalf("lenient recovery wrong: %+v", baseRep)
+	if rep.Bad[syslog.ClassOverlong] != 1 || rep.Records != before+1 {
+		t.Fatalf("lenient recovery wrong: %+v", rep)
 	}
-	if q := baseRep.Quarantine[0]; q.Line != wantLine || q.Class != syslog.ClassOverlong {
+	if q := rep.Quarantine[0]; q.Line != wantLine || q.Class != syslog.ClassOverlong || len(q.Sample) != 160 {
 		t.Fatalf("quarantine %+v, want overlong line %d", q, wantLine)
-	}
-	for _, workers := range []int{4, 16} {
-		events, rep, err := extractLenient(t, input, workers, syslog.LenientOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rep, baseRep) || !reflect.DeepEqual(events, base) {
-			t.Fatalf("workers=%d diverges:\n%+v\nvs\n%+v", workers, rep, baseRep)
-		}
-	}
-}
-
-// TestLenientParallelEquivalenceUnderCorruption: for a fuzzer-damaged log,
-// report and recovered events are identical at any worker count.
-func TestLenientParallelEquivalenceUnderCorruption(t *testing.T) {
-	var clean bytes.Buffer
-	for i := 0; i < 4000; i++ {
-		clean.WriteString(record(i))
-		clean.WriteByte('\n')
-	}
-	corrupted, _, err := logfuzz.Corrupt(clean.Bytes(), logfuzz.Config{
-		Seed: 42, Rate: 0.05, OversizeBytes: 16 << 10,
-		Parses: func(line []byte) bool {
-			_, ok, err := syslog.ParseLine(string(line))
-			return ok && err == nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := syslog.LenientOptions{MaxLineBytes: 8 << 10}
-	base, baseRep, err := extractLenient(t, corrupted, 1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseRep.BadTotal == 0 {
-		t.Fatal("corruption produced no bad lines; test is vacuous")
-	}
-	for _, workers := range []int{2, 4, 16} {
-		events, rep, err := extractLenient(t, corrupted, workers, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rep, baseRep) {
-			t.Fatalf("workers=%d report differs:\n%+v\nvs\n%+v", workers, rep, baseRep)
-		}
-		if !reflect.DeepEqual(events, base) {
-			t.Fatalf("workers=%d events differ", workers)
-		}
 	}
 }
 

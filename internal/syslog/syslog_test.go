@@ -98,7 +98,7 @@ func TestWriterDuplication(t *testing.T) {
 	}
 	// All duplicate lines parse back to the same coalescing key.
 	events := 0
-	st, err := Extract(&buf, func(ev xid.Event) error {
+	rep, err := Extract(&buf, Options{}, func(ev xid.Event) error {
 		if ev.Code != xid.MMU || ev.Node != "gpub001" || ev.GPU != 1 {
 			t.Fatalf("bad extracted event %+v", ev)
 		}
@@ -108,7 +108,7 @@ func TestWriterDuplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if events != total || st.XIDLines != total || st.Skipped != 0 || st.Malformed != 0 {
+	if st := rep.Stats(); events != total || st.XIDLines != total || st.Skipped != 0 || st.Malformed != 0 {
 		t.Fatalf("extract stats %+v, events %d", st, events)
 	}
 }
@@ -131,10 +131,11 @@ func TestWriterNoiseInterleaving(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Extract(&buf, func(xid.Event) error { return nil })
+	rep, err := Extract(&buf, Options{}, func(xid.Event) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := rep.Stats()
 	if st.Skipped != 50 {
 		t.Fatalf("skipped = %d, want 50 noise lines", st.Skipped)
 	}
@@ -172,11 +173,11 @@ func TestExtractMalformedCounted(t *testing.T) {
 	bad := strings.Replace(good, "PCI:0000:07:00", "PCI:ffff:ff", 1)
 	input := good + "\n" + bad + "\nnot a log line\n"
 	var events int
-	st, err := Extract(strings.NewReader(input), func(xid.Event) error { events++; return nil })
+	rep, err := Extract(strings.NewReader(input), Options{}, func(xid.Event) error { events++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if events != 1 || st.XIDLines != 1 || st.Malformed != 1 || st.Skipped != 1 || st.Lines != 3 {
+	if st := rep.Stats(); events != 1 || st.XIDLines != 1 || st.Malformed != 1 || st.Skipped != 1 || st.Lines != 3 {
 		t.Fatalf("stats = %+v events = %d", st, events)
 	}
 }
@@ -184,9 +185,32 @@ func TestExtractMalformedCounted(t *testing.T) {
 func TestExtractCallbackErrorPropagates(t *testing.T) {
 	line := FormatLine(xid.Event{Time: at, Node: "n", GPU: 0, Code: xid.MMU}, 1, "x")
 	wantErr := strings.NewReader(line + "\n")
-	_, err := Extract(wantErr, func(xid.Event) error { return bytes.ErrTooLarge })
+	_, err := Extract(wantErr, Options{}, func(xid.Event) error { return bytes.ErrTooLarge })
 	if err != bytes.ErrTooLarge {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// A callback error stops the scan at once, in either mode, and comes back
+// unwrapped.
+func TestExtractCallbackErrorStopsScan(t *testing.T) {
+	line := FormatLine(xid.Event{Time: at, Node: "n", GPU: 0, Code: xid.MMU}, 1, "x")
+	input := strings.Repeat(line+"\n", 20)
+	for _, lenient := range []bool{false, true} {
+		calls := 0
+		rep, err := Extract(strings.NewReader(input), Options{Lenient: lenient}, func(xid.Event) error {
+			calls++
+			if calls == 10 {
+				return bytes.ErrTooLarge
+			}
+			return nil
+		})
+		if err != bytes.ErrTooLarge {
+			t.Fatalf("lenient=%v: err = %v", lenient, err)
+		}
+		if calls != 10 || rep.Records != 10 {
+			t.Fatalf("lenient=%v: %d callbacks, %d records after the error", lenient, calls, rep.Records)
+		}
 	}
 }
 
