@@ -14,8 +14,9 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over every fuzz target in the repo: the text codecs, the
-# differential targets that hold the byte-level parsers and Stage I to their
-# historical oracles, and the event-shard cache codec.
+# differential targets that hold the byte-level parsers, Stage I, placement
+# and the diurnal warp to their historical oracles, and the event-shard
+# cache codec.
 # TestMakeFuzzListsEveryTarget fails when a Fuzz function is missing here.
 fuzz:
 	$(GO) test -fuzz '^FuzzParseLine$$' -fuzztime 15s ./internal/syslog/
@@ -24,6 +25,8 @@ fuzz:
 	$(GO) test -fuzz '^FuzzParsePlacement$$' -fuzztime 10s ./internal/slurmsim/
 	$(GO) test -fuzz '^FuzzLoadDBLine$$' -fuzztime 10s ./internal/slurmsim/
 	$(GO) test -fuzz '^FuzzParseRowEquivalence$$' -fuzztime 10s ./internal/slurmsim/
+	$(GO) test -fuzz '^FuzzPlace$$' -fuzztime 10s ./internal/slurmsim/
+	$(GO) test -fuzz '^FuzzWarpTimeOfDay$$' -fuzztime 10s ./internal/workload/
 	$(GO) test -fuzz '^FuzzEvshardRoundTrip$$' -fuzztime 10s ./internal/ingest/
 	$(GO) test -fuzz '^FuzzEvshardDecode$$' -fuzztime 10s ./internal/ingest/
 
@@ -36,7 +39,7 @@ bench-quick:
 	GPURESIL_BENCH_SCALE=0.05 $(GO) test -bench=. -benchmem -timeout 30m ./...
 
 # Hot-path benchmark set for the perf gate (sub-benchmarks included).
-BENCH_SET = ^(BenchmarkExtract|BenchmarkShardedExtract|BenchmarkPipelineParallel|BenchmarkStageIExtract|BenchmarkJobDBLoad|BenchmarkEndToEnd)$$
+BENCH_SET = ^(BenchmarkExtract|BenchmarkShardedExtract|BenchmarkPipelineParallel|BenchmarkStageIExtract|BenchmarkJobDBLoad|BenchmarkWorkloadJobs|BenchmarkSchedule|BenchmarkEndToEnd)$$
 
 # Snapshot the hot-path benchmarks (5% dataset, 4 repeats, per-metric
 # medians) into BENCH_baseline.json. Commit the refreshed file whenever a

@@ -35,6 +35,7 @@ import (
 	"gpuresilience/internal/impact"
 	"gpuresilience/internal/ingest"
 	"gpuresilience/internal/report"
+	"gpuresilience/internal/simclock"
 	"gpuresilience/internal/slurmsim"
 	"gpuresilience/internal/survival"
 	"gpuresilience/internal/syslog"
@@ -374,6 +375,80 @@ func BenchmarkEndToEndScaled(b *testing.B) {
 		}
 		if out.Results.CoalescedEvents == 0 {
 			b.Fatal("no events")
+		}
+	}
+}
+
+// BenchmarkWorkloadJobs measures the workload layer on its own: the
+// calibrated generator producing the full job population (duration fits,
+// arrival order statistics and the diurnal warp) at the shared benchmark
+// scale.
+func BenchmarkWorkloadJobs(b *testing.B) {
+	cfg := *calib.NewScenario(1, benchScale()).Cluster.Workload
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		gen, err := workload.NewGenerator(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(gen.Jobs()) == 0 {
+			b.Fatal("no jobs")
+		}
+	}
+}
+
+// BenchmarkSchedule measures the Slurm scheduler layer on its own: the
+// calibrated job list replayed through a fresh simclock engine over Delta's
+// 106 hosts, with no device models, so no node ever drains or fails. The
+// submission chain mirrors the cluster simulator's.
+func BenchmarkSchedule(b *testing.B) {
+	sc := calib.NewScenario(1, benchScale())
+	gen, err := workload.NewGenerator(*sc.Cluster.Workload)
+	if err != nil {
+		b.Fatal(err)
+	}
+	proto := gen.Jobs()
+	jobs := make([]slurmsim.Job, len(proto))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, j := range proto {
+			jobs[k] = *j
+		}
+		eng := simclock.NewEngine(sc.Cluster.PreOp.Start)
+		sched, err := slurmsim.NewScheduler(sc.Cluster.Sched, eng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for n := 0; n < calib.Nodes4+calib.Nodes8; n++ {
+			gpus := 4
+			if n >= calib.Nodes4 {
+				gpus = 8
+			}
+			if err := sched.AddHost(fmt.Sprintf("gpub%03d", n+1), gpus); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var submitFrom func(k int)
+		submitFrom = func(k int) {
+			for now := eng.Now(); k < len(jobs) && !jobs[k].Submit.After(now); k++ {
+				if err := sched.Submit(&jobs[k]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if k < len(jobs) {
+				if _, err := eng.Schedule(jobs[k].Submit, func() { submitFrom(k) }); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if _, err := eng.Schedule(jobs[0].Submit, func() { submitFrom(0) }); err != nil {
+			b.Fatal(err)
+		}
+		eng.Run(sc.Cluster.Op.End)
+		sched.DrainPending()
+		if len(sched.Records()) == 0 {
+			b.Fatal("no job records")
 		}
 	}
 }

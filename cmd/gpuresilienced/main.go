@@ -210,7 +210,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: daemon.Server().Handler()}
+	srv := cliflags.NewHTTPServer(daemon.Server().Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	// The smoke tests (CI and examples) scrape this line for the bound

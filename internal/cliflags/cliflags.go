@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"gpuresilience/internal/core"
 	"gpuresilience/internal/ingest"
@@ -186,6 +187,28 @@ func (o *ObsFlags) Manifest(tool string, workers int) *obs.RunManifest {
 	return m
 }
 
+// Limits every long-running HTTP listener in the module applies, so a slow
+// or hostile client cannot hold a connection or buffer unbounded headers.
+// There is no write timeout: /debug/pprof/profile streams for as long as
+// its seconds= parameter asks.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// NewHTTPServer returns a server for h with the module's header-read,
+// idle-connection and header-size limits. The streaming daemon and the
+// pprof server both use it.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // StartPprof starts the opt-in pprof server and returns its bound address
 // plus a stop function. With -pprof unset it is a no-op returning ("",
 // stop, nil). The server lives until stop is called (or the process exits);
@@ -207,7 +230,7 @@ func (o *ObsFlags) StartPprof() (string, func(), error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{Handler: mux}
+	srv := NewHTTPServer(mux)
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), func() { _ = srv.Close() }, nil
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"flag"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"gpuresilience/internal/core"
 	"gpuresilience/internal/ingest"
@@ -157,6 +159,63 @@ func TestStartPprof(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("profile")) {
 		t.Fatalf("pprof index: status %d, body %q", resp.StatusCode, body[:min(len(body), 200)])
 	}
+}
+
+// TestHTTPServerDropsSlowClient: a client that sends a partial request
+// header and then stalls is disconnected once the header-read timeout
+// expires, instead of holding the connection open.
+func TestHTTPServerDropsSlowClient(t *testing.T) {
+	t.Parallel()
+	addr := serveTest(t, NewHTTPServer(http.NotFoundHandler()))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET / HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection not closed by the server: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > readHeaderTimeout+2*time.Second {
+		t.Fatalf("server closed the stalled connection after %v, want within %v", elapsed, readHeaderTimeout)
+	}
+}
+
+// TestHTTPServerRejectsOversizedHeader: headers beyond maxHeaderBytes get
+// 431 rather than being buffered.
+func TestHTTPServerRejectsOversizedHeader(t *testing.T) {
+	addr := serveTest(t, NewHTTPServer(http.NotFoundHandler()))
+	req, err := http.NewRequest(http.MethodGet, "http://"+addr+"/", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Pad", strings.Repeat("a", 2*maxHeaderBytes))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("oversized header: status %d, want 431", resp.StatusCode)
+	}
+}
+
+// serveTest serves srv on a loopback port until the test ends.
+func serveTest(t *testing.T, srv *http.Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close() })
+	return ln.Addr().String()
 }
 
 func TestStartPprofDisabled(t *testing.T) {

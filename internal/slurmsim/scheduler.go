@@ -3,6 +3,7 @@ package slurmsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -57,8 +58,14 @@ type Scheduler struct {
 	cfg    Config
 	engine *simclock.Engine
 
+	// hosts is kept in name order, the placement tie-break.
 	hosts     []*host
 	hostIndex map[string]*host
+	counts    []int // tryPlace scratch: hosts per free count, 0..max GPUs
+
+	// passFn is s.pass bound once: a method value allocates a closure
+	// each time it is taken.
+	passFn func()
 
 	pending  []*Job
 	records  []*Job
@@ -85,17 +92,19 @@ func NewScheduler(cfg Config, engine *simclock.Engine) (*Scheduler, error) {
 	if cfg.ScanLimit <= 0 {
 		cfg.ScanLimit = 4000
 	}
-	return &Scheduler{
+	s := &Scheduler{
 		cfg:        cfg,
 		engine:     engine,
 		hostIndex:  make(map[string]*host),
 		nextID:     1,
 		endHandles: make(map[int]*simclock.Handle),
-	}, nil
+	}
+	s.passFn = s.pass
+	return s, nil
 }
 
-// AddHost registers a node with the given GPU count. Host order is the
-// placement scan order, so registration order is part of determinism.
+// AddHost registers a node with the given GPU count. Placement depends
+// only on host names and state, not on registration order.
 func (s *Scheduler) AddHost(name string, gpus int) error {
 	if _, dup := s.hostIndex[name]; dup {
 		return fmt.Errorf("slurmsim: duplicate host %q", name)
@@ -115,9 +124,13 @@ func (s *Scheduler) AddHost(name string, gpus int) error {
 	for i := range h.free {
 		h.free[i] = true
 	}
-	s.hosts = append(s.hosts, h)
+	i := sort.Search(len(s.hosts), func(i int) bool { return s.hosts[i].name > name })
+	s.hosts = slices.Insert(s.hosts, i, h)
 	s.hostIndex[name] = h
 	s.capacity += gpus
+	if gpus >= len(s.counts) {
+		s.counts = make([]int, gpus+1)
+	}
 	return nil
 }
 
@@ -153,7 +166,7 @@ func (s *Scheduler) queuePass() {
 	}
 	s.passQueued = true
 	// Priority 100 sorts the pass after same-time submissions and frees.
-	if _, err := s.engine.SchedulePri(s.engine.Now(), 100, s.pass); err != nil {
+	if _, err := s.engine.SchedulePri(s.engine.Now(), 100, s.passFn); err != nil {
 		s.passQueued = false
 	}
 }
@@ -163,6 +176,9 @@ func (s *Scheduler) queuePass() {
 // and switches to strict FIFO behind a long-waiting job (reservation).
 func (s *Scheduler) pass() {
 	s.passQueued = false
+	if len(s.pending) == 0 {
+		return
+	}
 	now := s.engine.Now()
 	totalFree := s.FreeGPUs()
 	kept := s.pending[:0]
@@ -204,38 +220,50 @@ func (s *Scheduler) pass() {
 // (best-fit decreasing over free counts) so whole nodes stay available for
 // wide jobs. Returns nil when capacity is insufficient right now.
 func (s *Scheduler) tryPlace(gpus int) Placement {
-	totalFree := 0
+	// Best fit walks hosts by (free count desc, name asc) and takes GPUs
+	// until the request is met, so every host above the last free count it
+	// reaches (the cut) gives all its free GPUs, and the first hosts by name
+	// at the cut give the rest. Counting hosts per free count finds the
+	// cut; one scan in name order then builds the same Placement without
+	// ranking the hosts.
+	counts := s.counts
+	clear(counts)
 	for _, h := range s.hosts {
 		if h.schedulable && h.online {
-			totalFree += h.freeCount
+			counts[h.freeCount]++
 		}
 	}
-	if totalFree < gpus {
-		return nil
-	}
-	// Candidate hosts sorted by descending free count, then name for
-	// determinism.
-	cands := make([]*host, 0, len(s.hosts))
-	for _, h := range s.hosts {
-		if h.schedulable && h.online && h.freeCount > 0 {
-			cands = append(cands, h)
-		}
-	}
-	sort.Slice(cands, func(i, k int) bool {
-		if cands[i].freeCount != cands[k].freeCount {
-			return cands[i].freeCount > cands[k].freeCount
-		}
-		return cands[i].name < cands[k].name
-	})
-	place := make(Placement)
-	need := gpus
-	for _, h := range cands {
-		if need == 0 {
+	// need ends as the GPUs to take at the cut; above counts the hosts
+	// above it.
+	cut, above, need := 0, 0, gpus
+	for f := len(counts) - 1; f > 0; f-- {
+		if need <= f*counts[f] {
+			cut = f
 			break
 		}
+		need -= f * counts[f]
+		above += counts[f]
+	}
+	if cut == 0 {
+		return nil
+	}
+	place := make(Placement)
+	for _, h := range s.hosts {
+		if above == 0 && need == 0 {
+			break
+		}
+		if !h.schedulable || !h.online || h.freeCount < cut {
+			continue
+		}
 		take := h.freeCount
-		if take > need {
-			take = need
+		switch {
+		case take > cut:
+			above--
+		case need == 0:
+			continue
+		default:
+			take = min(take, need)
+			need -= take
 		}
 		idxs := make([]int, 0, take)
 		for i := 0; i < h.numGPUs && len(idxs) < take; i++ {
@@ -244,10 +272,6 @@ func (s *Scheduler) tryPlace(gpus int) Placement {
 			}
 		}
 		place[h.name] = idxs
-		need -= take
-	}
-	if need > 0 {
-		return nil
 	}
 	return place
 }

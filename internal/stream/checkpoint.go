@@ -189,8 +189,9 @@ func Resume(cfg Config, cp *Checkpoint) (*Engine, error) {
 }
 
 // SaveCheckpoint writes the checkpoint atomically: a temp file in the
-// target directory, fsynced, then renamed over the destination, so a crash
-// mid-write never leaves a torn checkpoint behind.
+// target directory, fsynced, then renamed over the destination and the
+// directory fsynced, so a crash never leaves a torn checkpoint behind and
+// a returned save survives one.
 func SaveCheckpoint(path string, cp *Checkpoint) error {
 	data, err := json.MarshalIndent(cp, "", "  ")
 	if err != nil {
@@ -213,7 +214,19 @@ func SaveCheckpoint(path string, cp *Checkpoint) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	// The rename itself is durable only once the directory is synced.
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // LoadCheckpoint reads a checkpoint written by SaveCheckpoint.

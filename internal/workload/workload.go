@@ -174,15 +174,42 @@ func warpTimeOfDay(u, a, peak float64) float64 {
 		u = 1 - 1e-12
 	}
 	omega := 2 * math.Pi / 24
+	sinPeak := math.Sin(omega * peak)
 	cdf := func(tau float64) float64 {
-		return tau/24 + a/(2*math.Pi)*(math.Sin(omega*(tau-peak))+math.Sin(omega*peak))
+		return tau/24 + a/(2*math.Pi)*(math.Sin(omega*(tau-peak))+sinPeak)
+	}
+	// The bisection makes the same 50 comparisons cdf(mid) < u every
+	// time, but skips evaluating cdf where the outcome is already known.
+	// Newton steps estimate the root r. If cdf(r-δ) < u-ε and
+	// cdf(r+δ) >= u+ε, then every mid below r-δ compares less than u and
+	// every mid above r+δ does not: the CDF is monotone (slope at least
+	// (1-a)/24) and its rounding error is far below ε. Neither holds for
+	// |a| >= 1 (the density goes negative) or a peak far outside the day
+	// (tau-peak rounds coarsely), so there, or when the bracket check
+	// fails, every mid is evaluated.
+	const newtonSteps, delta, eps = 4, 1e-12, 1e-14
+	below, above := math.NaN(), math.NaN()
+	if math.Abs(a) < 1 && math.Abs(peak) <= 48 {
+		r := 24 * u
+		for i := 0; i < newtonSteps; i++ {
+			sin, cos := math.Sincos(omega * (r - peak))
+			r -= (r/24 + a/(2*math.Pi)*(sin+sinPeak) - u) * 24 / (1 + a*cos)
+		}
+		if cdf(r-delta) < u-eps && cdf(r+delta) >= u+eps {
+			below, above = r-delta, r+delta
+		}
 	}
 	lo, hi := 0.0, 24.0
 	for i := 0; i < 50; i++ {
 		mid := (lo + hi) / 2
-		if cdf(mid) < u {
+		switch {
+		case mid < below:
 			lo = mid
-		} else {
+		case mid > above:
+			hi = mid
+		case cdf(mid) < u:
+			lo = mid
+		default:
 			hi = mid
 		}
 	}
