@@ -242,9 +242,10 @@ type Cluster struct {
 	evCount *obs.Counter
 
 	// onEvent, if set, observes every emitted error event (used to stream
-	// raw syslog lines during the run).
+	// raw syslog lines during the run). During Run it is called from its
+	// own goroutine, fed through sink.
 	onEvent func(xid.Event) error
-	sinkErr error
+	sink    *handoff[xid.Event]
 }
 
 // New builds a simulation from cfg.
@@ -270,8 +271,10 @@ func New(cfg Config) (*Cluster, error) {
 				return
 			}
 			// The dying application raises a graphics-engine exception on
-			// one of its GPUs moments before Slurm records the failure.
-			for node, idxs := range j.Place {
+			// one of its GPUs moments before Slurm records the failure: on
+			// its first node by name, so the choice never follows map order.
+			for _, node := range j.Place.Nodes() {
+				idxs := j.Place[node]
 				if len(idxs) == 0 {
 					continue
 				}
@@ -310,8 +313,11 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// SetEventSink registers an observer for every emitted error event, called
-// in event-time order during Run (e.g. a syslog writer).
+// SetEventSink registers an observer for every emitted error event (e.g. a
+// syslog writer). Run calls fn from one goroutine of its own, in
+// event-time order, while the simulation goes on; Run returns only after
+// the last call has returned. The first error fn returns stops further
+// calls, and Run then fails with "cluster: event sink: <err>".
 func (c *Cluster) SetEventSink(fn func(xid.Event) error) { c.onEvent = fn }
 
 // Engine exposes the simulation clock (read-only use).
@@ -332,8 +338,62 @@ func (c *Cluster) nodeStateChanged(n *nodesim.Node, from, to nodesim.State) {
 func (c *Cluster) emit(ev xid.Event) {
 	c.evCount.Add(1)
 	c.events = append(c.events, ev)
-	if c.onEvent != nil && c.sinkErr == nil {
-		c.sinkErr = c.onEvent(ev)
+	if c.sink != nil {
+		c.sink.put(ev)
+	}
+}
+
+// startSink feeds the event sink from its own goroutine for the rest of
+// Run. finish ends the stream, waits for the sink's last call, and returns
+// its first error; it may be called more than once. Without a sink it
+// does nothing.
+func (c *Cluster) startSink() (finish func() error) {
+	if c.onEvent == nil {
+		return func() error { return nil }
+	}
+	h := newHandoff[xid.Event]()
+	c.sink = h
+	done := make(chan error, 1)
+	go func(fn func(xid.Event) error) {
+		// Keep draining after an error, so emit never blocks.
+		var err error
+		for ev, ok := h.next(); ok; ev, ok = h.next() {
+			if err == nil {
+				err = fn(ev)
+			}
+		}
+		done <- err
+	}(c.onEvent)
+	var err error
+	return func() error {
+		if c.sink != nil {
+			h.close()
+			err = <-done
+			c.sink = nil
+		}
+		return err
+	}
+}
+
+// startWorkload generates the job population in submit order on its own
+// goroutine, ahead of the engine. stop abandons the rest and waits for the
+// goroutine to exit.
+func startWorkload(gen *workload.Generator) (jobs *handoff[*slurmsim.Job], stop func()) {
+	h := newHandoff[*slurmsim.Job]()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s := gen.Stream()
+		for j := s.Next(); j != nil; j = s.Next() {
+			if !h.put(j) {
+				return
+			}
+		}
+		h.close()
+	}()
+	return h, func() {
+		h.abandon()
+		<-done
 	}
 }
 
@@ -347,6 +407,18 @@ func (c *Cluster) Run() (*Result, error) {
 	// between here and the end of the operational period.
 	span := c.cfg.Obs.StartSpan("sim.run")
 	defer span.End()
+	var jobs *handoff[*slurmsim.Job]
+	if c.cfg.Workload != nil {
+		gen, err := workload.NewGenerator(*c.cfg.Workload)
+		if err != nil {
+			return nil, err
+		}
+		var stop func()
+		jobs, stop = startWorkload(gen)
+		defer stop()
+	}
+	finishSink := c.startSink()
+	defer finishSink()
 	var monitor *healthcheck.Monitor
 	if c.cfg.HealthCheck != nil {
 		var err error
@@ -368,7 +440,7 @@ func (c *Cluster) Run() (*Result, error) {
 	if err := c.scheduleFaultyGPU(); err != nil {
 		return nil, err
 	}
-	if err := c.scheduleWorkload(); err != nil {
+	if err := c.scheduleWorkload(jobs); err != nil {
 		return nil, err
 	}
 	// Reconfigure device memory models at the period boundary.
@@ -391,8 +463,8 @@ func (c *Cluster) Run() (*Result, error) {
 			c.sched.Kill(j, slurmsim.StateCancelled, 0)
 		}
 	}
-	if c.sinkErr != nil {
-		return nil, fmt.Errorf("cluster: event sink: %w", c.sinkErr)
+	if err := finishSink(); err != nil {
+		return nil, fmt.Errorf("cluster: event sink: %w", err)
 	}
 
 	res := &Result{
@@ -430,35 +502,31 @@ func (c *Cluster) Run() (*Result, error) {
 }
 
 // scheduleWorkload lazily submits the generated jobs in submit order.
-func (c *Cluster) scheduleWorkload() error {
-	if c.cfg.Workload == nil {
+func (c *Cluster) scheduleWorkload(jobs *handoff[*slurmsim.Job]) error {
+	if jobs == nil {
 		return nil
 	}
-	gen, err := workload.NewGenerator(*c.cfg.Workload)
-	if err != nil {
-		return err
-	}
-	jobs := gen.Jobs()
-	if len(jobs) == 0 {
+	next, ok := jobs.next()
+	if !ok {
 		return nil
 	}
-	var submitFrom func(i int)
-	submitFrom = func(i int) {
+	var submit func()
+	submit = func() {
 		now := c.engine.Now()
-		for i < len(jobs) && !jobs[i].Submit.After(now) {
-			if err := c.sched.Submit(jobs[i]); err != nil {
+		for ok && !next.Submit.After(now) {
+			if err := c.sched.Submit(next); err != nil {
 				// Generated jobs are always valid; ignore defensively.
 				_ = err
 			}
-			i++
+			next, ok = jobs.next()
 		}
-		if i < len(jobs) {
-			if _, err := c.engine.Schedule(jobs[i].Submit, func() { submitFrom(i) }); err != nil {
+		if ok {
+			if _, err := c.engine.Schedule(next.Submit, submit); err != nil {
 				return
 			}
 		}
 	}
-	_, err = c.engine.Schedule(jobs[0].Submit, func() { submitFrom(0) })
+	_, err := c.engine.Schedule(next.Submit, submit)
 	return err
 }
 

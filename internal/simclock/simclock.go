@@ -5,9 +5,9 @@
 package simclock
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -17,11 +17,8 @@ var ErrPastEvent = errors.New("simclock: event scheduled in the past")
 
 // Handle identifies a scheduled event and allows cancellation.
 type Handle struct {
-	seq   uint64
-	index int // heap index; -1 once popped or cancelled
-	at    time.Time
-	pri   int
-	fn    func()
+	at time.Time
+	fn func() // nil once fired or cancelled
 }
 
 // Time returns the time the event is scheduled to fire.
@@ -31,15 +28,44 @@ func (h *Handle) Time() time.Time { return h.at }
 // concurrent use; the simulation model is deterministic and single-threaded
 // by design.
 type Engine struct {
+	start   time.Time // origin of the queue's integer time keys
 	now     time.Time
-	queue   eventHeap
+	queue   []entry // binary min-heap by (key, pri, seq)
+	live    int     // queued events not cancelled
+	dead    int     // cancelled events still in queue
 	nextSeq uint64
 	steps   uint64
 }
 
+// entry is one queued event with its ordering inline, so sifting the heap
+// compares integers and never touches the Handle. A cancelled entry stays
+// queued until it reaches the top, where it is dropped unrun.
+type entry struct {
+	key int64 // nanoseconds from Engine.start, saturating at math.MaxInt64
+	pri int
+	seq uint64
+	h   *Handle
+}
+
+// before orders entries by time, then priority, then scheduling sequence.
+// Keys saturate only for events ~292 years past the engine's start; two
+// saturated keys fall back to comparing the full times.
+func (a *entry) before(b *entry) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	if a.key == math.MaxInt64 && !a.h.at.Equal(b.h.at) {
+		return a.h.at.Before(b.h.at)
+	}
+	if a.pri != b.pri {
+		return a.pri < b.pri
+	}
+	return a.seq < b.seq
+}
+
 // NewEngine returns an engine whose clock starts at start.
 func NewEngine(start time.Time) *Engine {
-	return &Engine{now: start}
+	return &Engine{start: start, now: start}
 }
 
 // Now returns the current simulation time.
@@ -49,7 +75,7 @@ func (e *Engine) Now() time.Time { return e.now }
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // Pending returns the number of events currently queued.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.live }
 
 // Schedule enqueues fn to run at time at with priority 0.
 func (e *Engine) Schedule(at time.Time, fn func()) (*Handle, error) {
@@ -67,9 +93,10 @@ func (e *Engine) SchedulePri(at time.Time, pri int, fn func()) (*Handle, error) 
 	if fn == nil {
 		return nil, errors.New("simclock: nil event function")
 	}
-	h := &Handle{seq: e.nextSeq, at: at, pri: pri, fn: fn}
+	h := &Handle{at: at, fn: fn}
+	e.push(entry{key: int64(at.Sub(e.start)), pri: pri, seq: e.nextSeq, h: h})
 	e.nextSeq++
-	heap.Push(&e.queue, h)
+	e.live++
 	return h, nil
 }
 
@@ -78,31 +105,34 @@ func (e *Engine) After(d time.Duration, fn func()) (*Handle, error) {
 	return e.Schedule(e.now.Add(d), fn)
 }
 
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op and returns false.
+// Cancel removes a scheduled event, dropping its function at once.
+// Cancelling an already-fired or already-cancelled event is a no-op and
+// returns false.
 func (e *Engine) Cancel(h *Handle) bool {
-	if h == nil || h.index < 0 {
+	if h == nil || h.fn == nil {
 		return false
 	}
-	heap.Remove(&e.queue, h.index)
-	h.index = -1
 	h.fn = nil
+	e.live--
+	e.dead++
+	// Rebuild once cancelled entries are most of the queue, so a workload
+	// that cancels far-future events keeps the heap bounded.
+	if e.dead > 64 && e.dead > e.live {
+		e.compact()
+	}
 	return true
 }
 
 // Step executes the next event, advancing the clock to its timestamp.
 // It returns false if the queue is empty.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	if !e.skipDead() {
 		return false
 	}
-	h, ok := heap.Pop(&e.queue).(*Handle)
-	if !ok {
-		return false
-	}
-	h.index = -1
+	h := e.pop().h
 	e.now = h.at
 	e.steps++
+	e.live--
 	fn := h.fn
 	h.fn = nil
 	fn()
@@ -113,7 +143,7 @@ func (e *Engine) Step() bool {
 // until. The clock is left at until (or at the last event time if that is
 // later than until, which cannot happen by construction).
 func (e *Engine) Run(until time.Time) {
-	for len(e.queue) > 0 && !e.queue[0].at.After(until) {
+	for e.skipDead() && !e.queue[0].h.at.After(until) {
 		e.Step()
 	}
 	if e.now.Before(until) {
@@ -127,47 +157,84 @@ func (e *Engine) RunAll() {
 	}
 }
 
-// eventHeap orders by (time, priority, sequence).
-type eventHeap []*Handle
-
-// Len implements heap.Interface.
-func (h eventHeap) Len() int { return len(h) }
-
-// Less implements heap.Interface: earliest time first, ties broken by
-// priority then insertion sequence, keeping runs deterministic.
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+// skipDead pops cancelled entries off the top of the heap and reports
+// whether a live event remains.
+func (e *Engine) skipDead() bool {
+	for len(e.queue) > 0 {
+		if e.queue[0].h.fn != nil {
+			return true
+		}
+		e.pop()
+		e.dead--
 	}
-	if h[i].pri != h[j].pri {
-		return h[i].pri < h[j].pri
-	}
-	return h[i].seq < h[j].seq
+	return false
 }
 
-// Swap implements heap.Interface and keeps handle indexes current.
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-// Push implements heap.Interface.
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*Handle)
-	if !ok {
-		return
+// push adds x to the heap.
+func (e *Engine) push(x entry) {
+	e.queue = append(e.queue, x)
+	q := e.queue
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	ev.index = len(*h)
-	*h = append(*h, ev)
+	q[i] = x
 }
 
-// Pop implements heap.Interface.
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// pop removes and returns the heap's minimum.
+func (e *Engine) pop() entry {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = entry{}
+	e.queue = q[:n]
+	if n > 0 {
+		e.down(0)
+	}
+	return top
+}
+
+// down sifts the entry at i toward the leaves.
+func (e *Engine) down(i int) {
+	q := e.queue
+	n := len(q)
+	x := q[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&x) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = x
+}
+
+// compact drops every cancelled entry and re-heapifies. The heap order is
+// total (sequences are unique), so firing order does not depend on layout.
+func (e *Engine) compact() {
+	q := e.queue[:0]
+	for _, x := range e.queue {
+		if x.h.fn != nil {
+			q = append(q, x)
+		}
+	}
+	clear(e.queue[len(q):])
+	e.queue = q
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		e.down(i)
+	}
+	e.dead = 0
 }

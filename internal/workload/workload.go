@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -229,37 +230,130 @@ var nonMLNames = []string{
 	"gromacs_npt", "openfoam_les", "amber_equil", "cactus_bns", "su2_cfd",
 }
 
-// Jobs generates the full job population, sorted by submission time.
-// Submission times are uniform order statistics over the period (a Poisson
-// arrival process conditioned on the total count).
+// Jobs generates the full job population in Stream order: by submission
+// time, then job name. Submission times are uniform order statistics over
+// the period (a Poisson arrival process conditioned on the total count).
 func (g *Generator) Jobs() []*slurmsim.Job {
+	s := g.Stream()
+	jobs := make([]*slurmsim.Job, 0, s.total)
+	for j := s.Next(); j != nil; j = s.Next() {
+		jobs = append(jobs, j)
+	}
+	return jobs
+}
+
+// JobStream yields a generated population one job at a time, in order of
+// (Submit, Name). Jobs equal in both come in bucket order, then arrival
+// order within the bucket (the whole-population sort this stream replaced
+// left their order unspecified). Each job is made only when the
+// stream reaches its bucket's arrival, so a consumer can start on the
+// first jobs while later ones are still unmade.
+type JobStream struct {
+	g       *Generator
+	buckets []*bucketStream // buckets with jobs left, in bucket order
+	total   int             // jobs in the population
+}
+
+// bucketStream makes one bucket's jobs in arrival order. Each bucket draws
+// from its own RNG stream, so interleaving buckets changes no job.
+type bucketStream struct {
+	bi       int
+	rng      *randx.Stream
+	arrivals []float64       // hours into the period, ascending
+	next     int             // arrival index of the next job to make
+	nextAt   time.Duration   // submit offset of arrival next
+	run      []*slurmsim.Job // made jobs sharing submit offset at, by name
+	pos      int             // next job of run to yield
+	at       time.Duration   // offset of run from the period start
+}
+
+// Stream returns the population as a JobStream. The arrival times of every
+// bucket are drawn up front; jobs are made as Next reaches them.
+func (g *Generator) Stream() *JobStream {
 	rng := randx.Derive(g.cfg.Seed, "workload")
-	var jobs []*slurmsim.Job
+	s := &JobStream{g: g}
 	for bi, b := range g.cfg.Buckets {
 		n := int(math.Round(float64(b.Count) * g.cfg.Scale))
 		if n == 0 {
 			continue
 		}
-		brng := rng.Derive("bucket-" + b.Name)
-		arrivals := brng.UniformOrderStats(n, g.cfg.Period.Hours())
-		for _, at := range arrivals {
-			if g.cfg.DiurnalAmplitude > 0 {
-				day := math.Floor(at / 24)
-				tod := warpTimeOfDay((at-day*24)/24, g.cfg.DiurnalAmplitude, g.cfg.DiurnalPeakHour)
-				at = day*24 + tod
-			}
-			jobs = append(jobs, g.makeJob(bi, b, brng, g.cfg.Period.Start.Add(
-				time.Duration(at*float64(time.Hour)))))
+		bs := &bucketStream{bi: bi, rng: rng.Derive("bucket-" + b.Name)}
+		bs.arrivals = bs.rng.UniformOrderStats(n, g.cfg.Period.Hours())
+		bs.nextAt = g.offset(bs.arrivals[0])
+		g.refill(bs)
+		s.buckets = append(s.buckets, bs)
+		s.total += n
+	}
+	return s
+}
+
+// Next returns the next job, or nil once the population is exhausted.
+func (s *JobStream) Next() *slurmsim.Job {
+	if len(s.buckets) == 0 {
+		return nil
+	}
+	best := 0
+	for i, b := range s.buckets[1:] {
+		m := s.buckets[best]
+		if b.at < m.at || b.at == m.at && b.run[b.pos].Name < m.run[m.pos].Name {
+			best = i + 1
 		}
 	}
-	sort.Slice(jobs, func(i, k int) bool {
-		if !jobs[i].Submit.Equal(jobs[k].Submit) {
-			return jobs[i].Submit.Before(jobs[k].Submit)
+	b := s.buckets[best]
+	j := b.run[b.pos]
+	b.pos++
+	if b.pos == len(b.run) {
+		s.g.refill(b)
+		if len(b.run) == 0 {
+			s.buckets = slices.Delete(s.buckets, best, best+1)
 		}
-		return jobs[i].Name < jobs[k].Name
-	})
-	return jobs
+	}
+	return j
 }
+
+// refill makes b's next run: every job whose submission falls on the next
+// offset, ordered by name (arrival order among equal names).
+func (g *Generator) refill(b *bucketStream) {
+	b.run, b.pos = b.run[:0], 0
+	if b.next == len(b.arrivals) {
+		return
+	}
+	spec := g.cfg.Buckets[b.bi]
+	b.at = b.nextAt
+	submit := g.cfg.Period.Start.Add(b.at)
+	for {
+		b.run = append(b.run, g.makeJob(b.bi, spec, b.rng, submit))
+		b.next++
+		if b.next == len(b.arrivals) {
+			break
+		}
+		if b.nextAt = g.offset(b.arrivals[b.next]); b.nextAt != b.at {
+			break
+		}
+	}
+	if len(b.run) > 1 {
+		sort.SliceStable(b.run, func(i, k int) bool { return b.run[i].Name < b.run[k].Name })
+	}
+}
+
+// offset maps an arrival (hours into the period) to its submission offset,
+// applying the diurnal warp when configured.
+func (g *Generator) offset(at float64) time.Duration {
+	if g.cfg.DiurnalAmplitude > 0 {
+		day := math.Floor(at / 24)
+		tod := warpTimeOfDay((at-day*24)/24, g.cfg.DiurnalAmplitude, g.cfg.DiurnalPeakHour)
+		at = day*24 + tod
+	}
+	return time.Duration(at * float64(time.Hour))
+}
+
+// userNames holds the 400 synthetic account names makeJob draws from.
+var userNames = func() (names [400]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("user%03d", i)
+	}
+	return names
+}()
 
 func (g *Generator) makeJob(bi int, b BucketSpec, rng *randx.Stream, submit time.Time) *slurmsim.Job {
 	gpus := b.GPUChoices[rng.Categorical(b.GPUWeights)]
@@ -274,7 +368,7 @@ func (g *Generator) makeJob(bi int, b BucketSpec, rng *randx.Stream, submit time
 	}
 	j := &slurmsim.Job{
 		Name:        name,
-		User:        fmt.Sprintf("user%03d", rng.Intn(400)),
+		User:        userNames[rng.Intn(len(userNames))],
 		Partition:   "gpuA100x4",
 		GPUs:        gpus,
 		Submit:      submit,
