@@ -15,8 +15,8 @@ race:
 
 # Short fuzz pass over every fuzz target in the repo: the text codecs, the
 # differential targets that hold the byte-level parsers, Stage I, placement,
-# the diurnal warp and the event queue to their historical oracles, and the
-# event-shard cache codec.
+# the diurnal warp, the event queue and the Stage II coalescer to their
+# historical oracles, and the event-shard cache codec.
 # TestMakeFuzzListsEveryTarget fails when a Fuzz function is missing here.
 fuzz:
 	$(GO) test -fuzz '^FuzzParseLine$$' -fuzztime 15s ./internal/syslog/
@@ -28,6 +28,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzPlace$$' -fuzztime 10s ./internal/slurmsim/
 	$(GO) test -fuzz '^FuzzWarpTimeOfDay$$' -fuzztime 10s ./internal/workload/
 	$(GO) test -fuzz '^FuzzEngine$$' -fuzztime 10s ./internal/simclock/
+	$(GO) test -fuzz '^FuzzEvents$$' -fuzztime 10s ./internal/coalesce/
 	$(GO) test -fuzz '^FuzzEvshardRoundTrip$$' -fuzztime 10s ./internal/ingest/
 	$(GO) test -fuzz '^FuzzEvshardDecode$$' -fuzztime 10s ./internal/ingest/
 
@@ -40,7 +41,7 @@ bench-quick:
 	GPURESIL_BENCH_SCALE=0.05 $(GO) test -bench=. -benchmem -timeout 30m ./...
 
 # Hot-path benchmark set for the perf gate (sub-benchmarks included).
-BENCH_SET = ^(BenchmarkExtract|BenchmarkShardedExtract|BenchmarkPipelineParallel|BenchmarkStageIExtract|BenchmarkJobDBLoad|BenchmarkWorkloadJobs|BenchmarkSchedule|BenchmarkEngine|BenchmarkEndToEnd)$$
+BENCH_SET = ^(BenchmarkExtract|BenchmarkShardedExtract|BenchmarkPipelineParallel|BenchmarkStageIExtract|BenchmarkJobDBLoad|BenchmarkWorkloadJobs|BenchmarkSchedule|BenchmarkEngine|BenchmarkCoalesce|BenchmarkEndToEnd)$$
 
 # Snapshot the hot-path benchmarks (5% dataset, 4 repeats, per-metric
 # medians) into BENCH_baseline.json. Commit the refreshed file whenever a

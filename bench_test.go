@@ -227,6 +227,24 @@ func BenchmarkBurstCoalesce(b *testing.B) {
 	b.ReportMetric(float64(kept), "errors")
 }
 
+// BenchmarkCoalesce is the Stage II layer benchmark: coalesce.Events over
+// the shared dataset's line-level Stage I output at the paper's window.
+func BenchmarkCoalesce(b *testing.B) {
+	d := dataset(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		events, err := coalesce.Events(d.RawEvents, coalesce.DefaultWindow)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(events) == 0 {
+			b.Fatal("no events")
+		}
+	}
+	b.ReportMetric(float64(len(d.RawEvents)), "raw-events/op")
+}
+
 // BenchmarkCoalesceWindowSweep is ablation A1: coalesced error counts over
 // the line-level stream under windows from 0 (count every log line, the
 // over-counting §III-B warns about) to 5 minutes.
@@ -674,9 +692,8 @@ func BenchmarkShardedExtract(b *testing.B) {
 }
 
 // BenchmarkPipelineParallel measures the whole analysis path from raw bytes
-// — Stage I alongside the job-DB load, key-sharded coalescing, and the
-// Stage III fan-out
-// (Tables I-III) — at each worker count. The workers=1 case is the
+// — Stage I alongside the job-DB load, one-pass coalescing, and the Stage
+// III fan-out (Tables I-III) — at each worker count. The workers=1 case is the
 // sequential pipeline; the ratio to it is the headline speedup tracked in
 // the perf trajectory (target >=3x on 8 cores at scale 1.0).
 func BenchmarkPipelineParallel(b *testing.B) {

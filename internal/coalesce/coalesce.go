@@ -7,8 +7,12 @@
 package coalesce
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"gpuresilience/internal/xid"
@@ -152,39 +156,63 @@ func Restore(window time.Duration, entries []KeyState, raw, kept int) (*Coalesce
 }
 
 // Less is the canonical Stage II event order: (time, node, gpu, code), with
-// input order breaking full ties (the sorts using it are stable). Both the
-// sequential and the sharded coalescing paths order events with it, which is
-// what makes their outputs identical.
-func Less(a, b xid.Event) bool {
-	if !a.Time.Equal(b.Time) {
-		return a.Time.Before(b.Time)
+// input order breaking full ties (the sorts using it are stable). Batch
+// coalescing and the streaming engine's sealing both order events with it,
+// which is what makes their outputs identical.
+func Less(a, b xid.Event) bool { return compare(a, b) < 0 }
+
+// compare is Less as a three-way comparison, for slices.SortStableFunc.
+func compare(a, b xid.Event) int {
+	if c := a.Time.Compare(b.Time); c != 0 {
+		return c
 	}
-	if a.Node != b.Node {
-		return a.Node < b.Node
+	if c := strings.Compare(a.Node, b.Node); c != 0 {
+		return c
 	}
-	if a.GPU != b.GPU {
-		return a.GPU < b.GPU
+	if c := cmp.Compare(a.GPU, b.GPU); c != 0 {
+		return c
 	}
-	return a.Code < b.Code
+	return cmp.Compare(a.Code, b.Code)
 }
 
-// Events coalesces a batch: it stably sorts a copy by (time, node, gpu,
-// code) and returns the kept events in order.
+// scratchPool recycles the working copy Events sorts and compacts, so
+// repeated Stage II runs (the pipeline's steady state) reuse one backing
+// array instead of allocating an input-sized copy per run.
+var scratchPool = sync.Pool{New: func() any { return new([]xid.Event) }}
+
+// Events coalesces a batch: it stably sorts a copy by Less, keeps the first
+// occurrence of each key per window, and returns the kept events in order.
+// The caller's slice is never modified, and the result shares no memory
+// with the pooled working copy.
 func Events(events []xid.Event, window time.Duration) ([]xid.Event, error) {
 	c, err := newSized(window, len(events))
 	if err != nil {
 		return nil, err
 	}
-	sorted := make([]xid.Event, len(events))
-	copy(sorted, events)
-	sort.SliceStable(sorted, func(i, k int) bool { return Less(sorted[i], sorted[k]) })
-	out := make([]xid.Event, 0, len(sorted))
+	sp := scratchPool.Get().(*[]xid.Event)
+	sorted := append((*sp)[:0], events...)
+	slices.SortStableFunc(sorted, compare)
+	kept := sorted[:0]
 	for _, ev := range sorted {
 		if c.Add(ev) {
-			out = append(out, ev)
+			kept = append(kept, ev)
 		}
 	}
+	out := make([]xid.Event, len(kept))
+	copy(out, kept)
+	// Drop the event contents so the pool never pins the node and detail
+	// strings of a finished run.
+	clear(sorted)
+	*sp = sorted[:0]
+	scratchPool.Put(sp)
 	return out, nil
+}
+
+// EventsParallel is Events; workers is ignored. It remains for callers
+// written against the former key-sharded coalescer, which measured slower
+// than the single pass (docs/performance.md).
+func EventsParallel(events []xid.Event, window time.Duration, workers int) ([]xid.Event, error) {
+	return Events(events, window)
 }
 
 // CountByCode tallies events per XID code. The map is presized for the

@@ -54,10 +54,11 @@ type PipelineConfig struct {
 	// OutlierMinCount is the absolute floor below which a stream is never
 	// an outlier, guarding small datasets.
 	OutlierMinCount int
-	// Workers bounds each pipeline stage's parallelism: multi-file Stage I
-	// ingest (one sequential scan per file), key-sharded Stage II
-	// coalescing, and the Stage III fan-out each use at most this many
-	// goroutines. 0 means GOMAXPROCS, 1 forces the sequential path. Every
+	// Workers bounds the pipeline's goroutines: multi-file Stage I ingest
+	// (one sequential scan per file), the overlap of Stage I with the
+	// job-DB load, and the Stage III fan-out of its three analyses each use
+	// at most this many. Stage II is one sequential pass at any setting.
+	// 0 means GOMAXPROCS, 1 runs everything on the calling goroutine. Every
 	// table and figure is worker-count-invariant — see docs/pipeline.md for
 	// the argument.
 	Workers int
@@ -184,12 +185,7 @@ func Analyze(events []xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
 		return nil, err
 	}
 	sp2 := cfg.Obs.StartSpan("stage2.coalesce")
-	var meter parallel.WorkerMeter
-	if cfg.Obs.Enabled() {
-		sp2.SetWorkers(parallel.Resolve(cfg.Workers))
-		meter = sp2.ObserveWorker
-	}
-	coalesced, err := coalesce.EventsParallelMeter(events, cfg.CoalesceWindow, cfg.Workers, meter)
+	coalesced, err := coalesce.Events(events, cfg.CoalesceWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -202,9 +198,9 @@ func Analyze(events []xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
 	}
 
 	// Stage III fan-out: the three analyses below only read coalesced/jobs,
-	// so they run concurrently (bounded by cfg.Workers); each one also
-	// shards internally where it pays off. Each task carries its own span —
-	// started inside the task so a span's wall time excludes queueing.
+	// so they run concurrently (bounded by cfg.Workers), each one
+	// sequentially. Each task carries its own span — started inside the
+	// task so a span's wall time excludes queueing.
 	tasks := []struct {
 		name string
 		fn   func(sp *obs.Span) error
@@ -222,7 +218,6 @@ func Analyze(events []xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
 			cor, err := impact.Correlate(jobs, coalesced, impact.Config{
 				AttributionWindow: cfg.AttributionWindow,
 				Period:            cfg.Op,
-				Workers:           cfg.Workers,
 			})
 			if err != nil {
 				return err

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"gpuresilience/internal/parallel"
 	"gpuresilience/internal/slurmsim"
 	"gpuresilience/internal/stats"
 	"gpuresilience/internal/xid"
@@ -29,10 +28,10 @@ type Config struct {
 	// Period restricts the analysis (the study correlates only in the
 	// operational period).
 	Period stats.Period
-	// Workers bounds the parallelism of the job-correlation loop: 0 means
-	// GOMAXPROCS, 1 forces the sequential path. The output is
-	// worker-count-invariant (per-job classifications are independent and
-	// the merged tallies are sums).
+	// Workers is ignored: the job-correlation loop is sequential. It
+	// remains for callers written against the former job-sharded loop,
+	// which saved nothing inside the Stage III fan-out
+	// (docs/performance.md).
 	Workers int
 }
 
@@ -86,78 +85,9 @@ func Correlate(jobs []*slurmsim.Job, events []xid.Event, cfg Config) (Correlatio
 		sort.Slice(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
 	}
 
-	// The per-job classification is embarrassingly parallel over the (read
-	// only) index: shard the job list, tally locally, sum the tallies.
-	workers := parallel.Resolve(cfg.Workers)
-	if max := len(jobs) / minJobsPerShard; workers > max {
-		workers = max
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	parts := make([]corTally, workers)
-	err := parallel.ForEach(workers, workers, func(s int) error {
-		lo, hi := s*len(jobs)/workers, (s+1)*len(jobs)/workers
-		parts[s] = correlateJobs(jobs[lo:hi], index, cfg)
-		return nil
-	})
-	if err != nil {
-		return Correlation{}, err
-	}
 	encounters := make(map[xid.Code]int)
 	gpuFailed := make(map[xid.Code]int)
-	var totalGPUFailed, encounteredAny int
-	for _, p := range parts {
-		for c, n := range p.encounters {
-			encounters[c] += n
-		}
-		for c, n := range p.gpuFailed {
-			gpuFailed[c] += n
-		}
-		totalGPUFailed += p.totalGPUFailed
-		encounteredAny += p.encounteredAny
-	}
-
 	var out Correlation
-	out.TotalGPUFailedJobs = totalGPUFailed
-	out.EncounteredAny = encounteredAny
-	codes := make([]xid.Code, 0, len(encounters))
-	for c := range encounters {
-		codes = append(codes, c)
-	}
-	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
-	for _, c := range codes {
-		row := TableIIRow{
-			Code:             c,
-			JobsEncountering: encounters[c],
-			GPUFailedJobs:    gpuFailed[c],
-		}
-		if row.JobsEncountering > 0 {
-			row.FailureProb = float64(row.GPUFailedJobs) / float64(row.JobsEncountering)
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-// minJobsPerShard is the smallest job-shard size worth a goroutine.
-const minJobsPerShard = 1 << 12
-
-// corTally accumulates one shard's correlation counts.
-type corTally struct {
-	encounters     map[xid.Code]int
-	gpuFailed      map[xid.Code]int
-	totalGPUFailed int
-	encounteredAny int
-}
-
-// correlateJobs classifies one shard of the job list against the device
-// index.
-func correlateJobs(jobs []*slurmsim.Job, index map[gpuKey][]xid.Event, cfg Config) corTally {
-	tally := corTally{
-		encounters: make(map[xid.Code]int),
-		gpuFailed:  make(map[xid.Code]int),
-	}
 	for _, j := range jobs {
 		if j.Start.IsZero() || !j.State.Terminal() {
 			continue
@@ -187,19 +117,36 @@ func correlateJobs(jobs []*slurmsim.Job, index map[gpuKey][]xid.Event, cfg Confi
 			}
 		}
 		if len(encountered) > 0 {
-			tally.encounteredAny++
+			out.EncounteredAny++
 		}
 		for c := range encountered {
-			tally.encounters[c]++
+			encounters[c]++
 		}
 		if len(attributed) > 0 {
-			tally.totalGPUFailed++
+			out.TotalGPUFailedJobs++
 			for c := range attributed {
-				tally.gpuFailed[c]++
+				gpuFailed[c]++
 			}
 		}
 	}
-	return tally
+
+	codes := make([]xid.Code, 0, len(encounters))
+	for c := range encounters {
+		codes = append(codes, c)
+	}
+	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
+	for _, c := range codes {
+		row := TableIIRow{
+			Code:             c,
+			JobsEncountering: encounters[c],
+			GPUFailedJobs:    gpuFailed[c],
+		}
+		if row.JobsEncountering > 0 {
+			row.FailureProb = float64(row.GPUFailedJobs) / float64(row.JobsEncountering)
+		}
+		out.Rows = append(out.Rows, row)
+	}
+	return out, nil
 }
 
 // LostComputeRow attributes destroyed GPU hours to an error type.

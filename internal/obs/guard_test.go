@@ -10,20 +10,18 @@ import (
 	"testing"
 	"time"
 
-	"gpuresilience/internal/coalesce"
 	"gpuresilience/internal/ingest"
 	"gpuresilience/internal/obs"
-	"gpuresilience/internal/parallel"
 	"gpuresilience/internal/syslog"
 	"gpuresilience/internal/xid"
 )
 
 // The overhead guard holds the instrumentation to its zero-cost promise:
-// the instrumented Stage I and Stage II hot paths must cost within
-// guardMaxOver of the CPU time of the uninstrumented ones. Samples are
-// tightly paired (off then on, back-to-back) and the comparison is the
-// median of the per-pair ratios (see pairedOver). guardSamples is even, so
-// the median is the mean of the two middle ratios.
+// the instrumented Stage I hot path, with its metered per-file pool, must
+// cost within guardMaxOver of the CPU time of the uninstrumented one.
+// Samples are tightly paired (off then on, back-to-back) and the comparison
+// is the median of the per-pair ratios (see pairedOver). guardSamples is
+// even, so the median is the mean of the two middle ratios.
 const (
 	guardMaxOver = 0.05
 	guardSamples = 200
@@ -57,21 +55,6 @@ func buildLog(tb testing.TB, events int) []byte {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// buildEvents returns a pre-coalescing event stream with realistic
-// duplication (80% duplicates).
-func buildEvents(n int) []xid.Event {
-	base := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
-	events := make([]xid.Event, n)
-	for i := range events {
-		at := base.Add(time.Duration(i/5) * 50 * time.Second)
-		if i%5 == 0 {
-			at = base.Add(time.Duration(i) * 10 * time.Second)
-		}
-		events[i] = xid.Event{Time: at, Node: []string{"gpub001", "gpub002"}[i%2], GPU: i % 4, Code: xid.MMU}
-	}
-	return events
 }
 
 // cpuTime returns the CPU time (user plus system) the test process has
@@ -126,7 +109,7 @@ func pairedOver(tb testing.TB, off, on func()) float64 {
 }
 
 // TestExtractOverheadGuard holds the instrumented Stage I front end —
-// umbrella and shard spans, byte counting, interner counters — to the same
+// umbrella and shard spans, byte counting, interner counters — to the
 // budget against the uninstrumented run over the same one-file plan.
 func TestExtractOverheadGuard(t *testing.T) {
 	if testing.Short() {
@@ -154,31 +137,6 @@ func TestExtractOverheadGuard(t *testing.T) {
 	t.Logf("ingest.Extract instrumented overhead: %+.2f%%", 100*over)
 	if over > guardMaxOver {
 		t.Errorf("instrumented ingest.Extract is %.1f%% slower than uninstrumented (budget %.0f%%)",
-			100*over, 100*guardMaxOver)
-	}
-}
-
-func TestCoalesceOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark comparison; skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("timing comparison is meaningless under the race detector")
-	}
-	events := buildEvents(50000)
-	run := func(meter parallel.WorkerMeter) func() {
-		return func() {
-			if _, err := coalesce.EventsParallelMeter(events, coalesce.DefaultWindow, guardWorkers, meter); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	reg := obs.New()
-	sp := reg.StartSpan("guard.coalesce")
-	over := pairedOver(t, run(nil), run(sp.ObserveWorker))
-	t.Logf("EventsParallel metered overhead: %+.2f%%", 100*over)
-	if over > guardMaxOver {
-		t.Errorf("metered EventsParallel is %.1f%% slower than unmetered (budget %.0f%%)",
 			100*over, 100*guardMaxOver)
 	}
 }

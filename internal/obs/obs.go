@@ -153,7 +153,7 @@ func (g *Gauge) Value() int64 {
 
 // histBuckets are the duration histogram's upper bounds: exponential from
 // 100µs to ~1.6s plus an overflow bucket, wide enough for per-file parse
-// times and per-shard coalesce times alike.
+// times of small and large logs alike.
 var histBuckets = func() []time.Duration {
 	b := make([]time.Duration, 15)
 	d := 100 * time.Microsecond
