@@ -62,3 +62,41 @@ func TestMetricsGolden(t *testing.T) {
 			golden, got, want)
 	}
 }
+
+// TestFullScaleGolden reruns the paper-scale reproduction that `make
+// report` prints (-scale 1.0 -seed 2 -compare -ext) and diffs it byte for
+// byte against the committed results_full_scale.txt, the only golden at
+// the scale where scheduler, health monitor and faulty-GPU burst behave as
+// in the paper. The run takes seconds and about 1 GB, so -short skips it.
+// Change the file only on purpose, explaining the diff, with:
+//
+//	go test ./cmd/deltareport -run TestFullScaleGolden -update
+func TestFullScaleGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale simulation")
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-scale", "1.0", "-seed", "2", "-compare", "-ext"}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("..", "..", "results_full_scale.txt")
+	if *update {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Bytes(); !bytes.Equal(got, want) {
+		gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < min(len(gotLines), len(wantLines)); i++ {
+			if !bytes.Equal(gotLines[i], wantLines[i]) {
+				t.Fatalf("%s diverges at line %d (rerun with -update if intended):\n got %q\nwant %q",
+					golden, i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("%s diverges: %d lines, want %d (rerun with -update if intended)", golden, len(gotLines), len(wantLines))
+	}
+}

@@ -266,15 +266,16 @@ func New(cfg Config) (*Cluster, error) {
 	c.sched = sched
 	if cfg.SoftwareXIDProb > 0 {
 		swRNG := c.rng.Derive("software-xid")
+		var idxs []int
 		c.sched.OnTerminal = func(j *slurmsim.Job) {
 			if j.State != slurmsim.StateFailed || !swRNG.Bool(cfg.SoftwareXIDProb) {
 				return
 			}
 			// The dying application raises a graphics-engine exception on
 			// one of its GPUs moments before Slurm records the failure: on
-			// its first node by name, so the choice never follows map order.
-			for _, node := range j.Place.Nodes() {
-				idxs := j.Place[node]
+			// its first node by name.
+			for _, a := range j.Place {
+				idxs = a.AppendGPUs(idxs[:0])
 				if len(idxs) == 0 {
 					continue
 				}
@@ -283,7 +284,7 @@ func New(cfg Config) (*Cluster, error) {
 					code = xid.ResetChannel
 				}
 				c.emit(xid.Event{
-					Time: j.End, Node: node, GPU: idxs[swRNG.Intn(len(idxs))],
+					Time: j.End, Node: a.Node, GPU: idxs[swRNG.Intn(len(idxs))],
 					Code: code, Detail: "graphics engine exception raised by user process",
 				})
 				break

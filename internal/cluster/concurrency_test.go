@@ -68,7 +68,7 @@ func TestSoftwareXIDNodeDeterministic(t *testing.T) {
 		if len(soft) != 1 {
 			t.Fatalf("%d software XIDs, want 1", len(soft))
 		}
-		if first := job.Place.Nodes()[0]; soft[0].Node != first {
+		if first := job.Place[0].Node; soft[0].Node != first {
 			t.Fatalf("software XID on %s, want the placement's first node %s", soft[0].Node, first)
 		}
 		nodes = append(nodes, soft[0].Node)

@@ -44,6 +44,10 @@ type GPU struct {
 	// replacement.
 	failed bool
 
+	// gen, if set, is bumped on every change to what a health inspection
+	// reads; see SetGeneration.
+	gen *uint64
+
 	counters map[xid.Code]int
 }
 
@@ -73,7 +77,27 @@ func (g *GPU) Index() int { return g.index }
 func (g *GPU) Failed() bool { return g.failed }
 
 // MarkFailed pulls the device from service (physical replacement required).
-func (g *GPU) MarkFailed() { g.failed = true }
+func (g *GPU) MarkFailed() {
+	g.failed = true
+	bump(g.gen)
+}
+
+// SetGeneration points the device at a counter it bumps whenever its health
+// state changes: MarkFailed, Replace, an uncorrectable fault or a memory
+// reconfiguration. Those are the only changes to Failed, RemapFailures and
+// SpareRowsLeft, so a monitor that saw the same counter value before can
+// skip re-reading them. The devices of one node share one counter.
+func (g *GPU) SetGeneration(gen *uint64) {
+	g.gen = gen
+	g.Memory.gen = gen
+}
+
+// bump advances a health generation counter, if there is one.
+func bump(gen *uint64) {
+	if gen != nil {
+		*gen++
+	}
+}
 
 // Replace swaps in a fresh device: memory state and health reset, counters
 // keep accumulating (they describe the slot's history, which is what the
@@ -83,10 +107,12 @@ func (g *GPU) Replace(cfg Config) error {
 	if err != nil {
 		return err
 	}
+	mem.gen = g.gen
 	g.Memory = mem
 	g.GSP = &GSP{}
 	g.PMU = &PMU{}
 	g.failed = false
+	bump(g.gen)
 	return nil
 }
 

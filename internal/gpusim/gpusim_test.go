@@ -451,3 +451,35 @@ func TestNewGPUValidation(t *testing.T) {
 		t.Fatal("invalid memory config accepted")
 	}
 }
+
+// TestGenerationTracksInspectedState: exactly the calls that change
+// Failed, RemapFailures or SpareRowsLeft bump the shared generation.
+func TestGenerationTracksInspectedState(t *testing.T) {
+	g := mustGPU(t, DefaultConfig())
+	var gen uint64
+	g.SetGeneration(&gen)
+	rng := randx.NewStream(1)
+	steps := []struct {
+		name string
+		do   func()
+		bump bool
+	}{
+		{"MarkFailed", g.MarkFailed, true},
+		{"Replace", func() { _ = g.Replace(DefaultConfig()) }, true},
+		{"Uncorrectable", func() { g.Uncorrectable(now, rng) }, true},
+		{"Memory.Reconfigure", func() { _ = g.Memory.Reconfigure(DefaultMemoryConfig()) }, true},
+		{"first SBE", func() { g.Correctable(now, 7, rng) }, false},
+		{"second SBE escalates", func() { g.Correctable(now, 7, rng) }, true},
+		{"ResetComponents", g.ResetComponents, false},
+		{"GSPError", func() { g.GSPError(now, true) }, false},
+		{"BusOff", func() { g.BusOff(now) }, false},
+		{"Uncorrectable on the replacement", func() { g.Uncorrectable(now, rng) }, true},
+	}
+	for _, s := range steps {
+		before := gen
+		s.do()
+		if bumped := gen != before; bumped != s.bump {
+			t.Fatalf("%s: generation bumped=%v, want %v", s.name, bumped, s.bump)
+		}
+	}
+}

@@ -63,6 +63,8 @@ type Memory struct {
 
 	sbeCorrected int
 	sbeByRow     map[int]int
+
+	gen *uint64 // the owning GPU's health generation; see GPU.SetGeneration
 }
 
 // NewMemory validates cfg and returns a fresh memory subsystem.
@@ -110,6 +112,7 @@ func (m *Memory) Reconfigure(cfg MemoryConfig) error {
 		return err
 	}
 	m.cfg = cfg
+	bump(m.gen)
 	return nil
 }
 
@@ -130,6 +133,7 @@ type MemOutcome struct {
 // Uncorrectable runs the error-management cascade for one uncorrectable
 // fault and updates device state.
 func (m *Memory) Uncorrectable(rng *randx.Stream) MemOutcome {
+	bump(m.gen)
 	var out MemOutcome
 	out.LoggedDBE = rng.Bool(m.cfg.DBELogProb)
 

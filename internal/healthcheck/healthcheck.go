@@ -75,9 +75,23 @@ type Monitor struct {
 	nodes  []*nodesim.Node
 	until  time.Time
 
+	// clean[i] is nodes[i]'s device generation at its last clean
+	// inspection (neverInspected before the first). Inspection reads only
+	// state that bumps the generation, so an unchanged generation means a
+	// clean result again.
+	clean   []uint64
+	sweepFn func() // the sweep event, bound once
+
 	actions []Action
 	sweeps  int
 }
+
+// neverInspected is a clean generation no node reaches.
+const neverInspected = ^uint64(0)
+
+// sweepImpl is the sweep New binds into a Monitor. The package's tests
+// swap in the ungated historical sweep as a differential oracle.
+var sweepImpl = (*Monitor).sweep
 
 // New builds a monitor over the fleet. It takes ownership of nothing; the
 // caller starts it with Start.
@@ -91,7 +105,13 @@ func New(cfg Config, engine *simclock.Engine, rng *randx.Stream, nodes []*nodesi
 	if len(nodes) == 0 {
 		return nil, errors.New("healthcheck: empty fleet")
 	}
-	return &Monitor{cfg: cfg, engine: engine, rng: rng, nodes: nodes}, nil
+	m := &Monitor{cfg: cfg, engine: engine, rng: rng, nodes: nodes, clean: make([]uint64, len(nodes))}
+	for i := range m.clean {
+		m.clean[i] = neverInspected
+	}
+	sweep := sweepImpl
+	m.sweepFn = func() { sweep(m) }
+	return m, nil
 }
 
 // Start schedules periodic sweeps until the given time.
@@ -101,26 +121,34 @@ func (m *Monitor) Start(until time.Time) error {
 	if !first.Before(until) {
 		return nil
 	}
-	_, err := m.engine.Schedule(first, m.sweep)
+	_, err := m.engine.Schedule(first, m.sweepFn)
 	return err
 }
 
-// sweep inspects every node and reschedules itself.
+// sweep inspects every Up node whose devices changed since its last clean
+// inspection, and reschedules itself.
 func (m *Monitor) sweep() {
 	m.sweeps++
-	for _, n := range m.nodes {
+	for i, n := range m.nodes {
 		if !n.Up() {
 			continue // already in service; the recovery path owns it
 		}
-		if gpu, reason, bad := m.inspect(n); bad {
-			if n.ForceReplace(reason) {
-				m.actions = append(m.actions, Action{
-					Time:   m.engine.Now(),
-					Node:   n.Name(),
-					GPU:    gpu,
-					Reason: reason,
-				})
-			}
+		gen := n.DeviceGeneration()
+		if gen == m.clean[i] {
+			continue
+		}
+		gpu, reason, bad := m.inspect(n)
+		if !bad {
+			m.clean[i] = gen
+			continue
+		}
+		if n.ForceReplace(reason) {
+			m.actions = append(m.actions, Action{
+				Time:   m.engine.Now(),
+				Node:   n.Name(),
+				GPU:    gpu,
+				Reason: reason,
+			})
 		}
 	}
 	next := m.engine.Now().Add(m.cfg.Interval)
@@ -129,7 +157,7 @@ func (m *Monitor) sweep() {
 	}
 	if next.Before(m.until) {
 		// Scheduling in the future from the current event cannot fail.
-		_, _ = m.engine.Schedule(next, m.sweep)
+		_, _ = m.engine.Schedule(next, m.sweepFn)
 	}
 }
 

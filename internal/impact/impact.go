@@ -88,6 +88,7 @@ func Correlate(jobs []*slurmsim.Job, events []xid.Event, cfg Config) (Correlatio
 	encounters := make(map[xid.Code]int)
 	gpuFailed := make(map[xid.Code]int)
 	var out Correlation
+	var idxs []int // one job node's GPUs
 	for _, j := range jobs {
 		if j.Start.IsZero() || !j.State.Terminal() {
 			continue
@@ -98,9 +99,10 @@ func Correlate(jobs []*slurmsim.Job, events []xid.Event, cfg Config) (Correlatio
 		encountered := make(map[xid.Code]bool)
 		attributed := make(map[xid.Code]bool)
 		windowStart := j.End.Add(-cfg.AttributionWindow)
-		for node, idxs := range j.Place {
+		for _, a := range j.Place {
+			idxs = a.AppendGPUs(idxs[:0])
 			for _, gi := range idxs {
-				evs := index[gpuKey{node: node, gpu: gi}]
+				evs := index[gpuKey{node: a.Node, gpu: gi}]
 				// First event at or after job start.
 				lo := sort.Search(len(evs), func(i int) bool {
 					return !evs[i].Time.Before(j.Start)
@@ -181,6 +183,7 @@ func LostCompute(jobs []*slurmsim.Job, events []xid.Event, cfg Config) ([]LostCo
 	}
 	perCode := make(map[xid.Code]*LostComputeRow)
 	var total float64
+	var idxs []int // one job node's GPUs
 	for _, j := range jobs {
 		if j.Start.IsZero() || !j.State.Terminal() || j.State.Succeeded() {
 			continue
@@ -190,9 +193,10 @@ func LostCompute(jobs []*slurmsim.Job, events []xid.Event, cfg Config) ([]LostCo
 		}
 		windowStart := j.End.Add(-cfg.AttributionWindow)
 		attributed := make(map[xid.Code]bool)
-		for node, idxs := range j.Place {
+		for _, a := range j.Place {
+			idxs = a.AppendGPUs(idxs[:0])
 			for _, gi := range idxs {
-				evs := index[gpuKey{node: node, gpu: gi}]
+				evs := index[gpuKey{node: a.Node, gpu: gi}]
 				lo := sort.Search(len(evs), func(i int) bool {
 					return !evs[i].Time.Before(windowStart)
 				})

@@ -20,10 +20,14 @@ var base = opPeriod.Start.Add(30 * 24 * time.Hour)
 
 func runJob(id int, node string, gpus []int, start time.Time, dur time.Duration,
 	state slurmsim.JobState) *slurmsim.Job {
+	var mask uint64
+	for _, g := range gpus {
+		mask |= 1 << g
+	}
 	return &slurmsim.Job{
 		ID: id, Name: "job", GPUs: len(gpus),
 		Submit: start.Add(-time.Minute), Start: start, End: start.Add(dur),
-		State: state, Place: slurmsim.Placement{node: gpus},
+		State: state, Place: slurmsim.Placement{{Node: node, GPUs: mask}},
 	}
 }
 

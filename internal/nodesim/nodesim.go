@@ -123,6 +123,10 @@ type Node struct {
 	engine *simclock.Engine
 	rng    *randx.Stream
 
+	// gen is the health generation every device of the node bumps; see
+	// gpusim.GPU.SetGeneration.
+	gen uint64
+
 	state        State
 	serviceStart time.Time
 	ledger       []Downtime
@@ -161,6 +165,7 @@ func New(name string, numGPUs int, gpuCfg gpusim.Config, cfg Config,
 		if err != nil {
 			return nil, err
 		}
+		g.SetGeneration(&n.gen)
 		n.gpus[i] = g
 	}
 	return n, nil
@@ -185,6 +190,10 @@ func (n *Node) GPU(i int) *gpusim.GPU {
 	}
 	return n.gpus[i]
 }
+
+// DeviceGeneration returns a counter that changes whenever any of the
+// node's devices changes failure mark, remap failures or spare rows.
+func (n *Node) DeviceGeneration() uint64 { return n.gen }
 
 // NumGPUs returns the GPU count of the node.
 func (n *Node) NumGPUs() int { return len(n.gpus) }

@@ -25,7 +25,7 @@ func BenchmarkCancel(b *testing.B) {
 	start := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	e := NewEngine(start)
 	fn := func() {}
-	handles := make([]*Handle, 0, 1024)
+	handles := make([]Handle, 0, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h, err := e.After(time.Hour, fn)

@@ -10,14 +10,16 @@ import (
 // driver runs one engine through the fuzz operations. Each scheduled event
 // records its id when it fires; events with id%5 == 0 schedule a follow-up
 // and events with id%7 == 3 cancel an earlier event, so the queue also
-// changes from inside running events.
+// changes from inside running events. Cancelling a fired event whose slab
+// slot a later event reuses exercises stale handles.
 type driver struct {
-	now      func() time.Time
-	schedule func(at time.Time, pri int, fn func()) (cancel func() bool, err error)
-	step     func() bool
-	run      func(until time.Time)
-	steps    func() uint64
-	pending  func() int
+	now        func() time.Time
+	schedule   func(at time.Time, pri int, fn func()) (cancel func() bool, err error)
+	cancelZero func() bool // cancel through the zero handle
+	step       func() bool
+	run        func(until time.Time)
+	steps      func() uint64
+	pending    func() int
 
 	cancels []func() bool // by event id
 	fired   []int         // event ids in firing order
@@ -31,6 +33,7 @@ func newDriver() *driver {
 			h, err := e.SchedulePri(at, pri, fn)
 			return func() bool { return e.Cancel(h) }, err
 		},
+		cancelZero: func() bool { return e.Cancel(Handle{}) },
 	}
 }
 
@@ -42,6 +45,7 @@ func newOracleDriver() *driver {
 			h, err := e.SchedulePri(at, pri, fn)
 			return func() bool { return e.Cancel(h) }, err
 		},
+		cancelZero: func() bool { return e.Cancel(nil) },
 	}
 }
 
@@ -115,6 +119,13 @@ func runOps(t *testing.T, data []byte) {
 			}
 		case 4, 5: // cancel, including fired and already-cancelled events
 			name = "cancel"
+			if op%8 == 5 && arg%8 == 0 {
+				name = "cancel zero"
+				if g, w := got.cancelZero(), want.cancelZero(); g || w {
+					t.Fatalf("Cancel(zero) = %v, oracle %v", g, w)
+				}
+				break
+			}
 			if g, w := got.cancel(int(arg)), want.cancel(int(arg)); g != w {
 				t.Fatalf("Cancel(#%d) = %v, oracle %v", arg, g, w)
 			}
@@ -147,6 +158,9 @@ func FuzzEngine(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 1, 4, 1, 6, 0, 4, 0, 7, 20})
 	f.Add([]byte{3, 1, 3, 3, 3, 5, 0, 2, 7, 255, 6, 0, 4, 2})
 	f.Add([]byte{0, 0, 0, 4, 0, 8, 0, 0, 7, 16, 0, 0, 6, 0, 4, 3, 7, 0})
+	// Fire #0, reuse its slot for #1, cancel #0's stale handle and the zero
+	// handle, then fire #1.
+	f.Add([]byte{0, 0, 6, 0, 0, 1, 4, 0, 5, 0, 6, 0})
 	f.Fuzz(runOps)
 }
 
@@ -174,7 +188,7 @@ func TestEngineMatchesOracleLongRuns(t *testing.T) {
 
 func TestCancelCompactsQueue(t *testing.T) {
 	e := NewEngine(t0)
-	var hs []*Handle
+	var hs []Handle
 	var fired []time.Time
 	for i := 0; i < 1000; i++ {
 		// Scrambled times, so dropping entries leaves no valid heap behind.
@@ -189,7 +203,7 @@ func TestCancelCompactsQueue(t *testing.T) {
 	for i, h := range hs {
 		if i%10 != 0 {
 			e.Cancel(h)
-			if h.fn != nil {
+			if e.slots[h.slot].fn != nil {
 				t.Fatal("Cancel kept the event's function")
 			}
 		}

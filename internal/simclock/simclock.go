@@ -15,14 +15,14 @@ import (
 // simulation time.
 var ErrPastEvent = errors.New("simclock: event scheduled in the past")
 
-// Handle identifies a scheduled event and allows cancellation.
+// Handle identifies a scheduled event and allows cancellation. It names a
+// slot of the engine's slab and the slot's generation at scheduling time,
+// so a handle goes stale once its event fires or is cancelled, even after
+// the slot is reused. The zero Handle names no event.
 type Handle struct {
-	at time.Time
-	fn func() // nil once fired or cancelled
+	slot uint32
+	gen  uint32
 }
-
-// Time returns the time the event is scheduled to fire.
-func (h *Handle) Time() time.Time { return h.at }
 
 // Engine is a single-threaded discrete-event executor. It is not safe for
 // concurrent use; the simulation model is deterministic and single-threaded
@@ -30,32 +30,58 @@ func (h *Handle) Time() time.Time { return h.at }
 type Engine struct {
 	start   time.Time // origin of the queue's integer time keys
 	now     time.Time
-	queue   []entry // binary min-heap by (key, pri, seq)
-	live    int     // queued events not cancelled
-	dead    int     // cancelled events still in queue
+	queue   []entry  // binary min-heap by (key, pri, seq)
+	slots   []slot   // event slab, indexed by entry.slot and Handle.slot
+	free    []uint32 // slots no queue entry refers to
+	live    int      // queued events not cancelled
+	dead    int      // cancelled events still in queue
 	nextSeq uint64
 	steps   uint64
 }
 
+// slot holds one event's time and function. A slot is reused once the
+// entry that refers to it leaves the queue.
+type slot struct {
+	at  time.Time
+	fn  func() // nil once fired or cancelled
+	gen uint32 // bumped when the event fires or is cancelled; never 0
+}
+
+// retire ends the slot's event: its handle goes stale.
+func (s *slot) retire() {
+	s.fn = nil
+	if s.gen++; s.gen == 0 {
+		s.gen = 1
+	}
+}
+
 // entry is one queued event with its ordering inline, so sifting the heap
-// compares integers and never touches the Handle. A cancelled entry stays
+// compares integers and never touches the slab. A cancelled entry stays
 // queued until it reaches the top, where it is dropped unrun.
 type entry struct {
-	key int64 // nanoseconds from Engine.start, saturating at math.MaxInt64
-	pri int
-	seq uint64
-	h   *Handle
+	key  int64 // nanoseconds from Engine.start, saturating at math.MaxInt64
+	pri  int
+	seq  uint64
+	slot uint32
 }
 
 // before orders entries by time, then priority, then scheduling sequence.
 // Keys saturate only for events ~292 years past the engine's start; two
 // saturated keys fall back to comparing the full times.
-func (a *entry) before(b *entry) bool {
+func (e *Engine) before(a, b *entry) bool {
 	if a.key != b.key {
 		return a.key < b.key
 	}
-	if a.key == math.MaxInt64 && !a.h.at.Equal(b.h.at) {
-		return a.h.at.Before(b.h.at)
+	return e.tieBefore(a, b)
+}
+
+// tieBefore is before for equal keys, kept out of line so before inlines
+// into the heap loops.
+func (e *Engine) tieBefore(a, b *entry) bool {
+	if a.key == math.MaxInt64 {
+		if at, bt := e.slots[a.slot].at, e.slots[b.slot].at; !at.Equal(bt) {
+			return at.Before(bt)
+		}
 	}
 	if a.pri != b.pri {
 		return a.pri < b.pri
@@ -78,7 +104,7 @@ func (e *Engine) Steps() uint64 { return e.steps }
 func (e *Engine) Pending() int { return e.live }
 
 // Schedule enqueues fn to run at time at with priority 0.
-func (e *Engine) Schedule(at time.Time, fn func()) (*Handle, error) {
+func (e *Engine) Schedule(at time.Time, fn func()) (Handle, error) {
 	return e.SchedulePri(at, 0, fn)
 }
 
@@ -86,33 +112,46 @@ func (e *Engine) Schedule(at time.Time, fn func()) (*Handle, error) {
 // in ascending priority order; equal (time, priority) events run in
 // scheduling order. Scheduling at exactly the current time is allowed and the
 // event runs before the clock advances further.
-func (e *Engine) SchedulePri(at time.Time, pri int, fn func()) (*Handle, error) {
+func (e *Engine) SchedulePri(at time.Time, pri int, fn func()) (Handle, error) {
 	if at.Before(e.now) {
-		return nil, fmt.Errorf("%w: at=%s now=%s", ErrPastEvent, at, e.now)
+		return Handle{}, fmt.Errorf("%w: at=%s now=%s", ErrPastEvent, at, e.now)
 	}
 	if fn == nil {
-		return nil, errors.New("simclock: nil event function")
+		return Handle{}, errors.New("simclock: nil event function")
 	}
-	h := &Handle{at: at, fn: fn}
-	e.push(entry{key: int64(at.Sub(e.start)), pri: pri, seq: e.nextSeq, h: h})
+	var i uint32
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		i = uint32(len(e.slots))
+		e.slots = append(e.slots, slot{gen: 1})
+	}
+	s := &e.slots[i]
+	s.at, s.fn = at, fn
+	e.push(entry{key: int64(at.Sub(e.start)), pri: pri, seq: e.nextSeq, slot: i})
 	e.nextSeq++
 	e.live++
-	return h, nil
+	return Handle{slot: i, gen: s.gen}, nil
 }
 
 // After enqueues fn to run d after the current time.
-func (e *Engine) After(d time.Duration, fn func()) (*Handle, error) {
+func (e *Engine) After(d time.Duration, fn func()) (Handle, error) {
 	return e.Schedule(e.now.Add(d), fn)
 }
 
 // Cancel removes a scheduled event, dropping its function at once.
-// Cancelling an already-fired or already-cancelled event is a no-op and
-// returns false.
-func (e *Engine) Cancel(h *Handle) bool {
-	if h == nil || h.fn == nil {
+// Cancelling an already-fired or already-cancelled event, or passing the
+// zero Handle, is a no-op and returns false.
+func (e *Engine) Cancel(h Handle) bool {
+	if int(h.slot) >= len(e.slots) {
 		return false
 	}
-	h.fn = nil
+	s := &e.slots[h.slot]
+	if s.gen != h.gen || s.fn == nil {
+		return false
+	}
+	s.retire()
 	e.live--
 	e.dead++
 	// Rebuild once cancelled entries are most of the queue, so a workload
@@ -129,12 +168,14 @@ func (e *Engine) Step() bool {
 	if !e.skipDead() {
 		return false
 	}
-	h := e.pop().h
-	e.now = h.at
+	i := e.pop().slot
+	s := &e.slots[i]
+	e.now = s.at
 	e.steps++
 	e.live--
-	fn := h.fn
-	h.fn = nil
+	fn := s.fn
+	s.retire()
+	e.free = append(e.free, i)
 	fn()
 	return true
 }
@@ -143,7 +184,7 @@ func (e *Engine) Step() bool {
 // until. The clock is left at until (or at the last event time if that is
 // later than until, which cannot happen by construction).
 func (e *Engine) Run(until time.Time) {
-	for e.skipDead() && !e.queue[0].h.at.After(until) {
+	for e.skipDead() && !e.slots[e.queue[0].slot].at.After(until) {
 		e.Step()
 	}
 	if e.now.Before(until) {
@@ -161,10 +202,12 @@ func (e *Engine) RunAll() {
 // whether a live event remains.
 func (e *Engine) skipDead() bool {
 	for len(e.queue) > 0 {
-		if e.queue[0].h.fn != nil {
+		i := e.queue[0].slot
+		if e.slots[i].fn != nil {
 			return true
 		}
 		e.pop()
+		e.free = append(e.free, i)
 		e.dead--
 	}
 	return false
@@ -177,7 +220,7 @@ func (e *Engine) push(x entry) {
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !x.before(&q[p]) {
+		if !e.before(&x, &q[p]) {
 			break
 		}
 		q[i] = q[p]
@@ -192,7 +235,6 @@ func (e *Engine) pop() entry {
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = entry{}
 	e.queue = q[:n]
 	if n > 0 {
 		e.down(0)
@@ -210,10 +252,10 @@ func (e *Engine) down(i int) {
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && q[r].before(&q[c]) {
+		if r := c + 1; r < n && e.before(&q[r], &q[c]) {
 			c = r
 		}
-		if !q[c].before(&x) {
+		if !e.before(&q[c], &x) {
 			break
 		}
 		q[i] = q[c]
@@ -227,11 +269,12 @@ func (e *Engine) down(i int) {
 func (e *Engine) compact() {
 	q := e.queue[:0]
 	for _, x := range e.queue {
-		if x.h.fn != nil {
+		if e.slots[x.slot].fn != nil {
 			q = append(q, x)
+		} else {
+			e.free = append(e.free, x.slot)
 		}
 	}
-	clear(e.queue[len(q):])
 	e.queue = q
 	for i := len(q)/2 - 1; i >= 0; i-- {
 		e.down(i)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 var t0 = time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -107,8 +108,37 @@ func TestCancel(t *testing.T) {
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
-	if e.Cancel(nil) {
-		t.Fatal("Cancel(nil) returned true")
+	if e.Cancel(Handle{}) {
+		t.Fatal("Cancel of the zero Handle returned true")
+	}
+}
+
+// TestStaleHandleSparesReusedSlot: a fired event's slot is reused by the
+// next event, and the first event's handle must not cancel it.
+func TestStaleHandleSparesReusedSlot(t *testing.T) {
+	e := NewEngine(t0)
+	first, err := e.Schedule(t0.Add(time.Second), func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RunAll()
+	ran := false
+	second, err := e.Schedule(t0.Add(2*time.Second), func() { ran = true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.slot != first.slot {
+		t.Fatalf("slot %d not reused (got %d)", first.slot, second.slot)
+	}
+	if e.Cancel(first) || e.Cancel(Handle{}) {
+		t.Fatal("a stale or zero handle cancelled an event")
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d, want 1", e.Pending())
+	}
+	e.RunAll()
+	if !ran {
+		t.Fatal("the reused slot's event did not run")
 	}
 }
 
@@ -194,5 +224,13 @@ func TestPropertyMonotonicFiring(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEntrySize pins the heap entry at 32 bytes: the slab index that
+// replaced the *Handle must not grow the slice the heap sifts.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 32 {
+		t.Fatalf("heap entry is %d bytes, want 32", n)
 	}
 }

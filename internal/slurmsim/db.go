@@ -65,13 +65,11 @@ var dbHeaderBytes = []byte(dbHeader)
 const jobArenaSize = 1024
 
 // dbLoader carries the allocation state of one LoadDB run: an interner for
-// the small recurring vocabularies (names, users, partitions, node names), a
-// Job arena so rows don't allocate one object each, and an int arena for
-// placement GPU-index slices.
+// the small recurring vocabularies (names, users, partitions, node names)
+// and a Job arena so rows don't allocate one object each.
 type dbLoader struct {
 	in    *intern.Interner
 	arena []Job
-	ints  []int
 }
 
 func (ld *dbLoader) newJob() *Job {
@@ -81,17 +79,6 @@ func (ld *dbLoader) newJob() *Job {
 	j := &ld.arena[0]
 	ld.arena = ld.arena[1:]
 	return j
-}
-
-// takeInts carves an n-int slice out of the arena, capacity-capped so a later
-// append cannot scribble over a neighbor's slice.
-func (ld *dbLoader) takeInts(n int) []int {
-	if n > len(ld.ints) {
-		ld.ints = make([]int, max(n, 4096))
-	}
-	s := ld.ints[:n:n]
-	ld.ints = ld.ints[n:]
-	return s
 }
 
 // estimateDBRows sizes the result slice from the reader when it can see the
@@ -274,15 +261,17 @@ func (ld *dbLoader) parseRow(line []byte) (*Job, error) {
 var placementSemi = []byte{';'}
 
 // parsePlacement parses the canonical Placement.String encoding —
-// "node:i,j;node:k" with plain digit runs — straight off the bytes. Any
-// deviation restarts the whole field through the exported ParsePlacement, so
-// the loader keeps its Sscanf-level tolerance (signed indices, leading
-// spaces) and its exact errors.
+// "node:i,j;node:k" with plain digit runs, nodes strictly ascending, each
+// index in range and listed once — straight off the bytes. Any deviation
+// restarts the whole field through the exported ParsePlacement, so the
+// loader keeps its Sscanf-level tolerance (leading spaces, unsorted nodes)
+// and its exact errors.
 func (ld *dbLoader) parsePlacement(b []byte) (Placement, error) {
 	if len(b) == 0 {
-		return make(Placement), nil
+		return nil, nil
 	}
-	p := make(Placement, bytes.Count(b, placementSemi)+1)
+	p := make(Placement, 0, bytes.Count(b, placementSemi)+1)
+	var prev []byte // the previous node name
 	rest := b
 	for {
 		var part []byte
@@ -292,12 +281,12 @@ func (ld *dbLoader) parsePlacement(b []byte) (Placement, error) {
 			part, rest = rest, nil
 		}
 		ci := bytes.IndexByte(part, ':')
-		if ci <= 0 {
+		if ci <= 0 || prev != nil && bytes.Compare(part[:ci], prev) <= 0 {
 			return ParsePlacement(string(b)) //lint:allow hotalloc cold corrupt-input fallback; the hot path parses in place
 		}
 		node, list := part[:ci], part[ci+1:]
-		idxs := ld.takeInts(bytes.Count(list, []byte{','}) + 1)
-		k := 0
+		prev = node
+		var mask uint64
 		for {
 			var seg []byte
 			if j := bytes.IndexByte(list, ','); j >= 0 {
@@ -306,16 +295,15 @@ func (ld *dbLoader) parsePlacement(b []byte) (Placement, error) {
 				seg, list = list, nil
 			}
 			v, ok := atoiFast(seg)
-			if !ok {
+			if !ok || v >= maxNodeGPUs || mask&(1<<v) != 0 {
 				return ParsePlacement(string(b)) //lint:allow hotalloc cold corrupt-input fallback; the hot path parses in place
 			}
-			idxs[k] = v
-			k++
+			mask |= 1 << v
 			if list == nil {
 				break
 			}
 		}
-		p[ld.in.Intern(node)] = idxs
+		p = append(p, Alloc{Node: ld.in.Intern(node), GPUs: mask})
 		if rest == nil {
 			break
 		}

@@ -5,10 +5,15 @@
 package slurmsim
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
+
+	"gpuresilience/internal/simclock"
 )
 
 // JobState is a Slurm terminal or live job state.
@@ -107,67 +112,94 @@ func (s JobState) Terminal() bool {
 	}
 }
 
-// Placement maps a node name to the GPU indices allocated on it.
-type Placement map[string][]int
+// maxNodeGPUs bounds a host's GPU count: an Alloc holds its GPUs as one
+// 64-bit mask.
+const maxNodeGPUs = 64
 
-// Nodes returns the sorted node names of the placement.
-func (p Placement) Nodes() []string {
-	out := make([]string, 0, len(p))
-	for n := range p {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+// ErrBadPlacement is wrapped by every placement decoding error.
+var ErrBadPlacement = errors.New("slurmsim: bad placement")
+
+// Alloc is one node's share of a placement: bit i of GPUs stands for GPU i.
+type Alloc struct {
+	Node string // host name
+	GPUs uint64 // GPU index mask
 }
+
+// AppendGPUs appends the allocated GPU indexes in ascending order.
+func (a Alloc) AppendGPUs(dst []int) []int {
+	for m := a.GPUs; m != 0; m &= m - 1 {
+		dst = append(dst, bits.TrailingZeros64(m))
+	}
+	return dst
+}
+
+// Placement lists the nodes and GPUs a job holds, one Alloc per node in
+// ascending node-name order.
+type Placement []Alloc
 
 // TotalGPUs returns the number of GPUs in the placement.
 func (p Placement) TotalGPUs() int {
 	total := 0
-	for _, idxs := range p {
-		total += len(idxs)
+	for _, a := range p {
+		total += bits.OnesCount64(a.GPUs)
 	}
 	return total
 }
 
 // String encodes the placement as "node:i,j;node:k". Deterministic order.
 func (p Placement) String() string {
-	var b strings.Builder
-	for i, node := range p.Nodes() {
+	var b []byte
+	for i, a := range p {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		b.WriteString(node)
-		b.WriteByte(':')
-		for j, idx := range p[node] {
-			if j > 0 {
-				b.WriteByte(',')
+		b = append(b, a.Node...)
+		b = append(b, ':')
+		for m, first := a.GPUs, true; m != 0; m, first = m&(m-1), false {
+			if !first {
+				b = append(b, ',')
 			}
-			fmt.Fprintf(&b, "%d", idx)
+			b = strconv.AppendInt(b, int64(bits.TrailingZeros64(m)), 10)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
-// ParsePlacement inverts Placement.String.
+// ParsePlacement inverts Placement.String. Nodes may come in any order and
+// are returned sorted; a repeated node, a repeated GPU index or an index
+// outside [0, maxNodeGPUs) is an error wrapping ErrBadPlacement.
 func ParsePlacement(s string) (Placement, error) {
-	p := make(Placement)
 	if s == "" {
-		return p, nil
+		return nil, nil
 	}
-	for _, part := range strings.Split(s, ";") {
+	parts := strings.Split(s, ";")
+	p := make(Placement, 0, len(parts))
+	for _, part := range parts {
 		node, list, ok := strings.Cut(part, ":")
 		if !ok || node == "" {
-			return nil, fmt.Errorf("slurmsim: bad placement part %q", part)
+			return nil, fmt.Errorf("%w part %q", ErrBadPlacement, part)
 		}
-		var idxs []int
+		var mask uint64
 		for _, f := range strings.Split(list, ",") {
 			var v int
 			if _, err := fmt.Sscanf(f, "%d", &v); err != nil {
-				return nil, fmt.Errorf("slurmsim: bad gpu index %q: %w", f, err)
+				return nil, fmt.Errorf("%w: gpu index %q: %w", ErrBadPlacement, f, err)
 			}
-			idxs = append(idxs, v)
+			if v < 0 || v >= maxNodeGPUs {
+				return nil, fmt.Errorf("%w: gpu index %d on %s outside [0, %d)", ErrBadPlacement, v, node, maxNodeGPUs)
+			}
+			if mask&(1<<v) != 0 {
+				return nil, fmt.Errorf("%w: gpu %d listed twice on %s", ErrBadPlacement, v, node)
+			}
+			mask |= 1 << v
 		}
-		p[node] = idxs
+		p = append(p, Alloc{Node: node, GPUs: mask})
+	}
+	slices.SortFunc(p, func(a, b Alloc) int { return strings.Compare(a.Node, b.Node) })
+	for i := 1; i < len(p); i++ {
+		if p[i].Node == p[i-1].Node {
+			return nil, fmt.Errorf("%w: node %s listed twice", ErrBadPlacement, p[i].Node)
+		}
 	}
 	return p, nil
 }
@@ -201,6 +233,8 @@ type Job struct {
 	// ML marks jobs the workload generator labeled as machine-learning
 	// (the study approximates this from job names).
 	ML bool
+
+	end simclock.Handle // the scheduled natural end while running
 }
 
 // Elapsed returns wall-clock runtime for terminal jobs.
@@ -218,9 +252,12 @@ func (j *Job) GPUHours() float64 {
 
 // UsesGPU reports whether the job's placement includes the GPU.
 func (j *Job) UsesGPU(node string, gpu int) bool {
-	for _, idx := range j.Place[node] {
-		if idx == gpu {
-			return true
+	if gpu < 0 || gpu >= maxNodeGPUs {
+		return false
+	}
+	for _, a := range j.Place {
+		if a.Node == node {
+			return a.GPUs&(1<<gpu) != 0
 		}
 	}
 	return false

@@ -3,6 +3,7 @@ package slurmsim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -46,12 +47,15 @@ func DefaultConfig() Config {
 type host struct {
 	name        string
 	numGPUs     int
-	free        []bool // free[i] == true when GPU i is unallocated
+	free        uint64 // bit i set when GPU i is unallocated
 	freeCount   int
-	schedulable bool // accepting new work (false while draining or down)
-	online      bool // false while rebooting/failed
-	running     map[int]*Job
+	schedulable bool   // accepting new work (false while draining or down)
+	online      bool   // false while rebooting/failed
+	running     []*Job // running[i] is the job on GPU i, or nil
 }
+
+// open reports whether the host takes new work.
+func (h *host) open() bool { return h.schedulable && h.online }
 
 // Scheduler places jobs on hosts and tracks their lifecycle.
 type Scheduler struct {
@@ -71,14 +75,14 @@ type Scheduler struct {
 	records  []*Job
 	nextID   int
 	capacity int // total GPUs across all hosts
+	freeGPUs int // free GPUs on open hosts
+	running  int // distinct running jobs
 
 	passQueued bool
 
 	// OnTerminal, if set, is called once per job when it reaches a terminal
 	// state.
 	OnTerminal func(*Job)
-
-	endHandles map[int]*simclock.Handle
 }
 
 // NewScheduler returns a scheduler driven by engine.
@@ -93,18 +97,18 @@ func NewScheduler(cfg Config, engine *simclock.Engine) (*Scheduler, error) {
 		cfg.ScanLimit = 4000
 	}
 	s := &Scheduler{
-		cfg:        cfg,
-		engine:     engine,
-		hostIndex:  make(map[string]*host),
-		nextID:     1,
-		endHandles: make(map[int]*simclock.Handle),
+		cfg:       cfg,
+		engine:    engine,
+		hostIndex: make(map[string]*host),
+		nextID:    1,
 	}
 	s.passFn = s.pass
 	return s, nil
 }
 
-// AddHost registers a node with the given GPU count. Placement depends
-// only on host names and state, not on registration order.
+// AddHost registers a node with the given GPU count, at most
+// maxNodeGPUs. Placement depends only on host names and state, not on
+// registration order.
 func (s *Scheduler) AddHost(name string, gpus int) error {
 	if _, dup := s.hostIndex[name]; dup {
 		return fmt.Errorf("slurmsim: duplicate host %q", name)
@@ -112,22 +116,23 @@ func (s *Scheduler) AddHost(name string, gpus int) error {
 	if gpus <= 0 {
 		return fmt.Errorf("slurmsim: host %q has no GPUs", name)
 	}
+	if gpus > maxNodeGPUs {
+		return fmt.Errorf("slurmsim: host %q has %d GPUs, more than %d", name, gpus, maxNodeGPUs)
+	}
 	h := &host{
 		name:        name,
 		numGPUs:     gpus,
-		free:        make([]bool, gpus),
+		free:        ^uint64(0) >> (maxNodeGPUs - gpus),
 		freeCount:   gpus,
 		schedulable: true,
 		online:      true,
-		running:     make(map[int]*Job),
-	}
-	for i := range h.free {
-		h.free[i] = true
+		running:     make([]*Job, gpus),
 	}
 	i := sort.Search(len(s.hosts), func(i int) bool { return s.hosts[i].name > name })
 	s.hosts = slices.Insert(s.hosts, i, h)
 	s.hostIndex[name] = h
 	s.capacity += gpus
+	s.freeGPUs += gpus
 	if gpus >= len(s.counts) {
 		s.counts = make([]int, gpus+1)
 	}
@@ -180,7 +185,7 @@ func (s *Scheduler) pass() {
 		return
 	}
 	now := s.engine.Now()
-	totalFree := s.FreeGPUs()
+	totalFree := s.freeGPUs
 	kept := s.pending[:0]
 	scanned := 0
 	for qi, j := range s.pending {
@@ -229,7 +234,7 @@ func (s *Scheduler) tryPlace(gpus int) Placement {
 	counts := s.counts
 	clear(counts)
 	for _, h := range s.hosts {
-		if h.schedulable && h.online {
+		if h.open() {
 			counts[h.freeCount]++
 		}
 	}
@@ -247,45 +252,48 @@ func (s *Scheduler) tryPlace(gpus int) Placement {
 	if cut == 0 {
 		return nil
 	}
-	place := make(Placement)
+	place := make(Placement, 0, above+(need+cut-1)/cut)
 	for _, h := range s.hosts {
 		if above == 0 && need == 0 {
 			break
 		}
-		if !h.schedulable || !h.online || h.freeCount < cut {
+		if !h.open() || h.freeCount < cut {
 			continue
 		}
-		take := h.freeCount
+		mask := h.free
 		switch {
-		case take > cut:
+		case h.freeCount > cut:
 			above--
 		case need == 0:
 			continue
 		default:
-			take = min(take, need)
+			take := min(h.freeCount, need)
 			need -= take
-		}
-		idxs := make([]int, 0, take)
-		for i := 0; i < h.numGPUs && len(idxs) < take; i++ {
-			if h.free[i] {
-				idxs = append(idxs, i)
+			// Keep the take lowest free GPUs: clear the rest.
+			rest := mask
+			for range take {
+				rest &= rest - 1
 			}
+			mask &^= rest
 		}
-		place[h.name] = idxs
+		place = append(place, Alloc{Node: h.name, GPUs: mask})
 	}
 	return place
 }
 
 // start allocates the placement and schedules the job's natural end.
 func (s *Scheduler) start(j *Job, place Placement, now time.Time) {
-	for node, idxs := range place {
-		h := s.hostIndex[node]
-		for _, i := range idxs {
-			h.free[i] = false
-			h.running[i] = j
+	for _, a := range place {
+		h := s.hostIndex[a.Node]
+		for m := a.GPUs; m != 0; m &= m - 1 {
+			h.running[bits.TrailingZeros64(m)] = j
 		}
-		h.freeCount -= len(idxs)
+		n := bits.OnesCount64(a.GPUs)
+		h.free &^= a.GPUs
+		h.freeCount -= n
+		s.freeGPUs -= n
 	}
+	s.running++
 	j.Place = place
 	j.Start = now
 	j.State = StateRunning
@@ -296,14 +304,11 @@ func (s *Scheduler) start(j *Job, place Placement, now time.Time) {
 		run = j.TimeLimit
 		timeout = true
 	}
-	h, err := s.engine.After(run, func() { s.naturalEnd(j, timeout) })
-	if err == nil {
-		s.endHandles[j.ID] = h
-	}
+	// A failed After leaves the zero Handle, which Kill's Cancel ignores.
+	j.end, _ = s.engine.After(run, func() { s.naturalEnd(j, timeout) })
 }
 
 func (s *Scheduler) naturalEnd(j *Job, timeout bool) {
-	delete(s.endHandles, j.ID)
 	switch {
 	case timeout:
 		j.State = StateTimeout
@@ -324,22 +329,44 @@ func (s *Scheduler) naturalEnd(j *Job, timeout bool) {
 	s.queuePass()
 }
 
-// release frees the job's GPUs on hosts that are still online.
+// release frees the GPUs the job still holds.
 func (s *Scheduler) release(j *Job) {
-	for node, idxs := range j.Place {
-		h := s.hostIndex[node]
+	s.running--
+	for _, a := range j.Place {
+		h := s.hostIndex[a.Node]
 		if h == nil {
 			continue
 		}
-		for _, i := range idxs {
-			if h.running[i] == j {
-				delete(h.running, i)
-				if !h.free[i] {
-					h.free[i] = true
-					h.freeCount++
-				}
+		for m := a.GPUs; m != 0; m &= m - 1 {
+			if i := bits.TrailingZeros64(m); h.running[i] == j {
+				h.running[i] = nil
+				s.freeGPU(h, i)
 			}
 		}
+	}
+}
+
+// freeGPU marks GPU i of h unallocated.
+func (s *Scheduler) freeGPU(h *host, i int) {
+	if h.free&(1<<i) != 0 {
+		return
+	}
+	h.free |= 1 << i
+	h.freeCount++
+	if h.open() {
+		s.freeGPUs++
+	}
+}
+
+// setAvail sets the host's schedulable and online flags, moving its free
+// GPUs in or out of the FreeGPUs total.
+func (s *Scheduler) setAvail(h *host, schedulable, online bool) {
+	if h.open() {
+		s.freeGPUs -= h.freeCount
+	}
+	h.schedulable, h.online = schedulable, online
+	if h.open() {
+		s.freeGPUs += h.freeCount
 	}
 }
 
@@ -357,10 +384,7 @@ func (s *Scheduler) Kill(j *Job, state JobState, exitCode int) {
 	if j == nil || j.State != StateRunning {
 		return
 	}
-	if h, ok := s.endHandles[j.ID]; ok {
-		s.engine.Cancel(h)
-		delete(s.endHandles, j.ID)
-	}
+	s.engine.Cancel(j.end)
 	j.State = state
 	j.ExitCode = exitCode
 	j.End = s.engine.Now()
@@ -391,22 +415,20 @@ func (s *Scheduler) JobsOnNode(node string) []*Job {
 	if h == nil {
 		return nil
 	}
-	seen := make(map[int]*Job, len(h.running))
+	var out []*Job
 	for _, j := range h.running {
-		seen[j.ID] = j
+		if j != nil && !slices.Contains(out, j) {
+			out = append(out, j)
+		}
 	}
-	out := make([]*Job, 0, len(seen))
-	for _, j := range seen {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
+	slices.SortFunc(out, func(a, b *Job) int { return a.ID - b.ID })
 	return out
 }
 
 // JobOnGPU returns the job running on (node, gpu), or nil.
 func (s *Scheduler) JobOnGPU(node string, gpu int) *Job {
 	h := s.hostIndex[node]
-	if h == nil {
+	if h == nil || gpu < 0 || gpu >= len(h.running) {
 		return nil
 	}
 	return h.running[gpu]
@@ -416,7 +438,7 @@ func (s *Scheduler) JobOnGPU(node string, gpu int) *Job {
 // unaffected. Used at drain start/end.
 func (s *Scheduler) SetSchedulable(node string, ok bool) {
 	if h := s.hostIndex[node]; h != nil {
-		h.schedulable = ok
+		s.setAvail(h, ok, h.online)
 		if ok {
 			s.queuePass()
 		}
@@ -430,8 +452,7 @@ func (s *Scheduler) FailNode(node string) {
 	if h == nil {
 		return
 	}
-	h.online = false
-	h.schedulable = false
+	s.setAvail(h, false, false)
 	for _, j := range s.JobsOnNode(node) {
 		s.Kill(j, StateNodeFail, 1)
 	}
@@ -443,14 +464,12 @@ func (s *Scheduler) RestoreNode(node string) {
 	if h == nil {
 		return
 	}
-	h.online = true
-	h.schedulable = true
-	for i := range h.free {
-		if h.running[i] == nil && !h.free[i] {
-			h.free[i] = true
-			h.freeCount++
+	for i, j := range h.running {
+		if j == nil {
+			s.freeGPU(h, i)
 		}
 	}
+	s.setAvail(h, true, true)
 	s.queuePass()
 }
 
@@ -458,22 +477,14 @@ func (s *Scheduler) RestoreNode(node string) {
 func (s *Scheduler) PendingCount() int { return len(s.pending) }
 
 // RunningCount returns the number of distinct running jobs.
-func (s *Scheduler) RunningCount() int { return len(s.endHandles) }
+func (s *Scheduler) RunningCount() int { return s.running }
 
 // Records returns the terminal job records accumulated so far. The returned
 // slice is shared; callers must not mutate it.
 func (s *Scheduler) Records() []*Job { return s.records }
 
 // FreeGPUs returns the number of free GPUs on schedulable online hosts.
-func (s *Scheduler) FreeGPUs() int {
-	total := 0
-	for _, h := range s.hosts {
-		if h.schedulable && h.online {
-			total += h.freeCount
-		}
-	}
-	return total
-}
+func (s *Scheduler) FreeGPUs() int { return s.freeGPUs }
 
 // DrainPending cancels every still-pending job (end of measurement period).
 func (s *Scheduler) DrainPending() {

@@ -2,6 +2,7 @@ package slurmsim
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -149,7 +150,7 @@ func TestMultiNodePlacement(t *testing.T) {
 	if j.State != StateRunning {
 		t.Fatalf("state = %s", j.State)
 	}
-	if j.Place.TotalGPUs() != 10 || len(j.Place.Nodes()) != 3 {
+	if j.Place.TotalGPUs() != 10 || len(j.Place) != 3 {
 		t.Fatalf("placement = %v", j.Place)
 	}
 	eng.RunAll()
@@ -162,7 +163,7 @@ func TestKillByGPUError(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run(t0.Add(time.Hour))
-	victim := s.JobOnGPU("gpub001", j.Place["gpub001"][0])
+	victim := s.JobOnGPU("gpub001", j.Place[0].AppendGPUs(nil)[0])
 	if victim != j {
 		t.Fatal("JobOnGPU did not find the job")
 	}
@@ -192,7 +193,7 @@ func TestFailNodeKillsAndRestoreRecovers(t *testing.T) {
 		}
 	}
 	eng.Run(t0.Add(time.Minute))
-	nodeA := a.Place.Nodes()[0]
+	nodeA := a.Place[0].Node
 	s.FailNode(nodeA)
 	if a.State != StateNodeFail {
 		t.Fatalf("a = %s", a.State)
@@ -424,13 +425,16 @@ func TestSubmitValidation(t *testing.T) {
 	if err := s.AddHost("x", 0); err == nil {
 		t.Fatal("zero-GPU host accepted")
 	}
+	if err := s.AddHost("wide", maxNodeGPUs+1); err == nil {
+		t.Fatal("host wider than a GPU mask accepted")
+	}
 	if _, err := NewScheduler(DefaultConfig(), nil); err == nil {
 		t.Fatal("nil engine accepted")
 	}
 }
 
 func TestUsesGPUAndLink(t *testing.T) {
-	j := &Job{Place: Placement{"n1": {0, 2}}}
+	j := &Job{Place: Placement{{Node: "n1", GPUs: 0b101}}}
 	if !j.UsesGPU("n1", 0) || j.UsesGPU("n1", 1) || j.UsesGPU("n2", 0) {
 		t.Fatal("UsesGPU wrong")
 	}
@@ -440,7 +444,7 @@ func TestUsesGPUAndLink(t *testing.T) {
 }
 
 func TestPlacementRoundTrip(t *testing.T) {
-	p := Placement{"gpub002": {1, 3}, "gpub001": {0, 1, 2, 3}}
+	p := Placement{{Node: "gpub001", GPUs: 0b1111}, {Node: "gpub002", GPUs: 0b1010}}
 	s := p.String()
 	if s != "gpub001:0,1,2,3;gpub002:1,3" {
 		t.Fatalf("encoded = %q", s)
@@ -457,7 +461,32 @@ func TestPlacementRoundTrip(t *testing.T) {
 	}
 	empty, err := ParsePlacement("")
 	if err != nil || len(empty) != 0 {
-		t.Fatal("empty placement should parse to empty map")
+		t.Fatal("empty placement should parse to an empty placement")
+	}
+	unsorted, err := ParsePlacement("gpub002:3,1;gpub001:0,1,2,3")
+	if err != nil || unsorted.String() != s {
+		t.Fatalf("unsorted placement = %q, %v; want %q", unsorted, err, s)
+	}
+}
+
+// TestParsePlacementRejectsLostGPUs: inputs that would silently drop or
+// double-count GPUs are errors wrapping ErrBadPlacement, in ParsePlacement
+// and in the LoadDB fast path alike.
+func TestParsePlacementRejectsLostGPUs(t *testing.T) {
+	for _, in := range []string{
+		"a:0;a:1",   // duplicate node
+		"n1:0;n1:1", // duplicate node, as a jobs.db row would hold it
+		"a:0,0",     // duplicate index
+		"a:-1",      // index below range
+		"a:64",      // index above range
+	} {
+		if p, err := ParsePlacement(in); !errors.Is(err, ErrBadPlacement) {
+			t.Errorf("ParsePlacement(%q) = %v, %v; want ErrBadPlacement", in, p, err)
+		}
+		row := dbHeader + "\n1|j|u|p|2|2023-01-01T00:00:00Z|2023-01-01T01:00:00Z|2023-01-01T02:00:00Z|COMPLETED|0:0|" + in + "|0\n"
+		if jobs, err := LoadDB(strings.NewReader(row)); !errors.Is(err, ErrBadPlacement) {
+			t.Errorf("LoadDB with placement %q = %d jobs, %v; want ErrBadPlacement", in, len(jobs), err)
+		}
 	}
 }
 
@@ -552,12 +581,17 @@ func TestNoDoubleBookingProperty(t *testing.T) {
 			// Invariant: every running job's placement GPUs map back to it.
 			for _, h := range s.hosts {
 				booked := 0
-				for range h.running {
-					booked++
+				for _, j := range h.running {
+					if j != nil {
+						booked++
+					}
 				}
 				if booked+h.freeCount > h.numGPUs {
 					return false
 				}
+			}
+			if s.FreeGPUs() != s.freeGPUsOracle() {
+				return false
 			}
 		}
 		eng.RunAll()
